@@ -18,14 +18,13 @@ from pathlib import Path
 from .combinatorics import sym_dimension
 from .decompose import (
     DEFAULT_VERIFY_TOL,
+    _roots_of_unity_decomposition,
     border_distance_table,
-    decompose_monomial_rank_k,
     decompose_sym222_pencil,
     decomposition_from_json_obj,
     decomposition_to_json_obj,
     fit_loglog_slope,
     make_border_spec,
-    make_decomposition,
     verify,
 )
 from .errors import ArithmeticOverflowError, DegeneratePencilError, ValidationError
@@ -46,24 +45,23 @@ from .tensor_core import (
 _BORDER_KIND = {"rank2to3": "rank2_to_3", "rank2tok": "rank2_to_k", "tangent": "tangent_sum"}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low, described as `what` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _positive_float(text: str) -> float:
@@ -122,30 +120,21 @@ def _cmd_rank(args) -> int:
 def _cmd_table(args) -> int:
     ks = range(3, 7)
     ns = range(2, 11)
-    maker = generic_rank_table if args.what == "generic" else fiber_table
+    maker, title = {
+        "generic": (generic_rank_table, "generic symmetric rank"),
+        "fiber": (fiber_table, "fiber dimension of generic decompositions"),
+    }[args.what]
     values, exceptions = maker(ks, ns)
     if args.csv:
         lines = ["k,n,value,is_exception"]
-        for i, k in enumerate(ks):
-            for j, n in enumerate(ns):
-                flag = "true" if exceptions[i][j] else "false"
-                lines.append(f"{k},{n},{values[i][j]},{flag}")
+        for k, row, marks in zip(ks, values, exceptions):
+            for n, v, x in zip(ns, row, marks):
+                lines.append(f"{k},{n},{v},{'true' if x else 'false'}")
     else:
-        title = (
-            "generic symmetric rank"
-            if args.what == "generic"
-            else "fiber dimension of generic decompositions"
-        )
         lines = [f"{title} (k down, n across; * marks exceptional pairs)"]
         cells = [["k"] + [str(n) for n in ns]]
-        for i, k in enumerate(ks):
-            cells.append(
-                [str(k)]
-                + [
-                    f"{values[i][j]}{'*' if exceptions[i][j] else ''}"
-                    for j in range(len(list(ns)))
-                ]
-            )
+        for k, row, marks in zip(ks, values, exceptions):
+            cells.append([str(k)] + [f"{v}{'*' if x else ''}" for v, x in zip(row, marks)])
         lines.extend(_aligned(cells))
     print("\n".join(lines))
     return 0
@@ -172,24 +161,21 @@ def _cmd_from_poly(args) -> int:
 
 
 def _monomial_decomposition(s: SymmetricTensor):
-    """Decompose a scalar multiple of z1*z2^(k-1) through roots of unity."""
+    """Decompose a scalar multiple of z1*z2^(k-1) through the k-th roots of unity."""
     if s.dim != 2:
         raise ValidationError("method monomial needs a binary tensor (dim 2)")
     k = s.order
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
     pivot = (1, k - 1)
-    value = s.coeffs.get(pivot, 0j)
     top = max((abs(v) for v in s.coeffs.values()), default=0.0)
     off = max((abs(v) for p, v in s.coeffs.items() if p != pivot), default=0.0)
-    if value == 0 or off > 1e-12 * top:
+    if pivot not in s.coeffs or off > 1e-12 * top:
         raise ValidationError(
             "method monomial needs a tensor proportional to z1*z2^(k-1): "
             f"exactly the exponent class {list(pivot)} may be nonzero"
         )
-    base = decompose_monomial_rank_k(k)
-    scale = value * k
-    return make_decomposition(k, 2, [(scale * w, v) for w, v in base.terms], field_tag="C")
+    return _roots_of_unity_decomposition(s)
 
 
 def _cmd_decompose(args) -> int:
@@ -334,10 +320,7 @@ def main(argv=None) -> int:
     except DegeneratePencilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ArithmeticOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, ArithmeticOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

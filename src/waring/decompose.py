@@ -1,12 +1,12 @@
 """Constructive symmetric outer product decompositions.
 
-Three constructions are explicit enough to implement exactly: the binary
-monomial z1*z2^(k-1), decomposed into k powers of linear forms through the
-k-th roots of unity; 2x2x2 symmetric tensors, decomposed through the
-eigenvalues of the slice pencil (A0, A1) over R or C; and three border-rank
-demonstration sequences whose members have low symmetric rank but whose
-limits do not.  A universal verifier measures any stated decomposition
-against any target tensor.
+Binary tensors go through one route, Sylvester's: the nodes are the
+homogeneous roots of a form apolar to the moments m_j = a_(k-j, j), and one
+Vandermonde solve gives the weights.  The apolar form is t^k - 1 for the
+monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors over R
+or C, real rank 3 included.  Three border-rank demonstration sequences have
+members of low symmetric rank but limits that do not.  A universal verifier
+measures any stated decomposition against any target tensor.
 
 Decomposition terms are normalized so the first nonzero component of each
 vector is 1, with the scale absorbed into the weight, and sorted by the
@@ -16,6 +16,7 @@ second vector component so serialized output is deterministic.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +26,11 @@ from .combinatorics import enumerate_exponents
 from .errors import DegeneratePencilError, ValidationError
 from .tensor_core import (
     SymmetricTensor,
-    compress,
-    decompress,
+    _complex_pair,
+    _read_pair,
+    _read_size,
     frobenius_distance,
     frobenius_norm,
-    multilinear_transform,
     numerical_rank,
     outer_power,
 )
@@ -74,19 +75,15 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
             raise ValidationError("decomposition vectors must be nonzero")
         normalized.append((complex(weight) * pivot**order, tuple(c / pivot for c in v)))
 
-    def imag_span(entries):
-        return max((abs(x.imag) for x in entries), default=0.0)
-
     flat = [w for w, _ in normalized] + [c for _, v in normalized for c in v]
+    imag_span = max((abs(x.imag) for x in flat), default=0.0)
     if field_tag is None:
-        field_tag = "R" if imag_span(flat) <= REAL_FIELD_TOL else "C"
+        field_tag = "R" if imag_span <= REAL_FIELD_TOL else "C"
     if field_tag not in ("R", "C"):
         raise ValidationError("field tag must be 'R' or 'C'")
     if field_tag == "R":
-        if imag_span(flat) > REAL_FIELD_TOL:
-            raise ValidationError(
-                f"field tag R requires imaginary parts at most {REAL_FIELD_TOL}"
-            )
+        if imag_span > REAL_FIELD_TOL:
+            raise ValidationError(f"field tag R requires imaginary parts at most {REAL_FIELD_TOL}")
         normalized = [
             (complex(w.real, 0.0), tuple(complex(c.real, 0.0) for c in v))
             for w, v in normalized
@@ -135,20 +132,56 @@ def binary_monomial_tensor(k: int) -> SymmetricTensor:
     return SymmetricTensor(k, 2, {(1, k - 1): 1.0 / k})
 
 
+def _moments(A: SymmetricTensor) -> list[complex]:
+    """Moments m_j = a_(k-j, j), j = 0..k, of a binary tensor."""
+    k = A.order
+    m = [A.coeffs.get((k - j, j), 0j) for j in range(k + 1)]
+    if not all(cmath.isfinite(v) for v in m):
+        raise ValidationError("a binary decomposition needs finite entries")
+    return m
+
+
+def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
+    """Decomposition with homogeneous nodes (alpha_i, beta_i), roots of a form apolar to m.
+
+    Every node is scaled to unit max-norm, a component below rounding level
+    set to zero, and one least-squares solve of the Vandermonde system
+    sum_i w_i alpha_i^(k-j) beta_i^j = m_j over all k+1 moments gives the
+    weights.  The moments are divided by their largest magnitude first, so no
+    product overflows.
+    """
+    k = len(m) - 1
+    scale = max(abs(v) for v in m)
+    eps = np.finfo(float).eps
+    points = [
+        tuple(c / s if abs(c) > eps * s else 0.0 for c in node)
+        for node in nodes
+        for s in [max(abs(node[0]), abs(node[1]))]
+    ]
+    vander = np.array([[x ** (k - j) * y**j for x, y in points] for j in range(k + 1)])
+    rhs = np.array(m) / scale
+    if field_tag == "R":
+        vander, rhs = vander.real, rhs.real
+    weights = scale * np.linalg.lstsq(vander, rhs, rcond=None)[0]
+    return make_decomposition(k, 2, zip(weights.tolist(), points), field_tag=field_tag)
+
+
+def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
+    """k terms over C with nodes (1, beta_i), beta_i the roots of the apolar form t^k - 1.
+
+    Exact whenever m_k equals m_0, as for every multiple of z1 * z2^(k-1).
+    """
+    k = A.order
+    return _sylvester(_moments(A), [(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)], "C")
+
+
 def decompose_monomial_rank_k(k: int) -> SymmetricDecomposition:
     """Rank-k decomposition of the tensor of z1 * z2^(k-1) over C.
 
-    The directions are (1, beta_i) with beta_i the k-th roots of unity
-    (distinct and summing to zero), and the weights beta_i / k^2 solve the
-    Vandermonde moment system sum_i w_i beta_i^t = delta(t, k-1) / k by the
-    inverse discrete Fourier relations; the t = k moment vanishes because
-    the weights sum to zero.
+    The directions are (1, beta_i), beta_i the k-th roots of unity; the
+    weights come out as beta_i / k^2.
     """
-    if k < 2:
-        raise ValidationError("the monomial construction needs order k >= 2")
-    roots = [cmath.exp(2j * cmath.pi * i / k) for i in range(k)]
-    terms = [(b / k**2, (1.0 + 0j, b)) for b in roots]
-    return make_decomposition(k, 2, terms, field_tag="C")
+    return _roots_of_unity_decomposition(binary_monomial_tensor(k))
 
 
 def pencil_quadratic(A: SymmetricTensor) -> tuple[complex, complex, complex]:
@@ -156,15 +189,18 @@ def pencil_quadratic(A: SymmetricTensor) -> tuple[complex, complex, complex]:
 
     A0 and A1 are the two slices of a 2x2x2 symmetric tensor along the first
     index; with class entries c30, c21, c12, c03 the coefficients are
-    a = c21 c03 - c12^2, b = c21 c12 - c30 c03, c = c30 c12 - c21^2.
+    a = c21 c03 - c12^2, b = c21 c12 - c30 c03, c = c30 c12 - c21^2.  The
+    same vector spans the kernel of the 2x3 catalecticant
+    [[c30, c21, c12], [c21, c12, c03]], so a s^2 + b s t + c t^2 is the
+    quadratic form apolar to A.
     """
     _require_sym222(A)
-    c30, c21, c12, c03 = (A.coeffs.get(p, 0j) for p in _SYM222_CLASSES)
-    return (
-        c21 * c03 - c12 * c12,
-        c21 * c12 - c30 * c03,
-        c30 * c12 - c21 * c21,
-    )
+    return _catalecticant_kernel(*(A.coeffs.get(p, 0j) for p in _SYM222_CLASSES))
+
+
+def _catalecticant_kernel(m0, m1, m2, m3):
+    """Cross product of the two rows of the 2x3 catalecticant of (m0, m1, m2, m3)."""
+    return m1 * m3 - m2 * m2, m1 * m2 - m0 * m3, m0 * m2 - m1 * m1
 
 
 def _require_sym222(A: SymmetricTensor) -> None:
@@ -172,28 +208,6 @@ def _require_sym222(A: SymmetricTensor) -> None:
         raise ValidationError(
             f"the pencil method handles order 3 dimension 2, got ({A.order}, {A.dim})"
         )
-
-
-def _stable_quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    """Roots of a t^2 + b t + c with the cancellation-free branch choice."""
-    sq = cmath.sqrt(b * b - 4 * a * c)
-    q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    return q / a, c / q
-
-
-def _two_term_weights(A: SymmetricTensor, directions, real: bool):
-    """Least-squares weights fitting A over the four exponent classes."""
-    dtype = np.float64 if real else np.complex128
-    m = np.zeros((4, len(directions)), dtype=dtype)
-    rhs = np.zeros(4, dtype=dtype)
-    for row, p in enumerate(_SYM222_CLASSES):
-        entry = A.coeffs.get(p, 0j)
-        rhs[row] = entry.real if real else entry
-        for col, d in enumerate(directions):
-            val = (d[0] ** p[0]) * (d[1] ** p[1])
-            m[row, col] = val.real if real else val
-    weights, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    return list(weights)
 
 
 @dataclass(frozen=True)
@@ -205,128 +219,78 @@ class PencilResult:
 
 
 def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResult:
-    """Decompose a 2x2x2 symmetric tensor through its slice-pencil eigenvalues.
+    """Decompose a 2x2x2 symmetric tensor through its catalecticant kernel.
 
-    Generic tensors split into two powers of linear forms whose directions
-    (t, 1) come from the roots of det(A0 - t*A1); a vanishing leading
-    coefficient contributes the infinite-eigenvalue direction (1, 0).  Over R
-    with complex-conjugate roots no real two-term decomposition exists and a
-    verified three-term real decomposition is returned instead, classified
-    real_rank_3.  Degenerate pencils (zero or constant determinant, double
-    eigenvalue) raise DegeneratePencilError.
+    Sylvester's method: the kernel (a, b, c) of the 2x3 catalecticant, which
+    is also the slice-pencil determinant det(A0 - t*A1) = a t^2 + b t + c, is
+    a quadratic form apolar to A.  Its two homogeneous roots (q, a) and (c, q),
+    q the cancellation-free root of the quadratic, are the directions of a
+    two-term decomposition; a vanishing a gives the direction (1, 0) with no
+    special case.  One least-squares Vandermonde solve gives the weights.
+    Over R with complex-conjugate roots no real two-term decomposition exists
+    and a verified three-term real decomposition is returned instead,
+    classified real_rank_3.  Degenerate pencils (zero or constant
+    determinant, double eigenvalue) raise DegeneratePencilError.
     """
     _require_sym222(A)
     if field not in ("R", "C"):
         raise ValidationError("field must be 'R' or 'C'")
-    entry_scale = max((abs(v) for v in A.coeffs.values()), default=0.0)
+    m = _moments(A)
+    entry_scale = max(abs(v) for v in m)
     if field == "R":
-        worst_imag = max((abs(v.imag) for v in A.coeffs.values()), default=0.0)
-        if worst_imag > REAL_FIELD_TOL * (1.0 + entry_scale):
+        if max(abs(v.imag) for v in m) > REAL_FIELD_TOL * (1.0 + entry_scale):
             raise ValidationError("field R needs a real tensor")
-    a, b, c = pencil_quadratic(A)
+        m = [v.real for v in m]
+    a, b, c = _catalecticant_kernel(*(v / (entry_scale or 1.0) for v in m))
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0.0:
         raise DegeneratePencilError("pencil determinant vanishes identically")
-    tol = PENCIL_DEGENERACY_TOL
-    linear = abs(a) <= tol * scale
-    if linear and abs(b) <= tol * scale:
+    if max(abs(a), abs(b)) <= PENCIL_DEGENERACY_TOL * scale:
         raise DegeneratePencilError("pencil determinant is constant in the eigenvalue")
-
-    if field == "C":
-        if linear:
-            directions = [(-c / b, 1.0 + 0j), (1.0 + 0j, 0j)]
-        else:
-            if abs(b * b - 4 * a * c) <= tol * scale**2:
-                raise DegeneratePencilError("double eigenvalue")
-            r1, r2 = _stable_quadratic_roots(a, b, c)
-            directions = [(r1, 1.0 + 0j), (r2, 1.0 + 0j)]
-        weights = _two_term_weights(A, directions, real=False)
-        terms = list(zip(weights, directions))
-        return PencilResult("rank_2", make_decomposition(3, 2, terms, field_tag="C"))
-
-    ar, br, cr = a.real, b.real, c.real
-    if linear:
-        directions_r = [(-cr / br, 1.0), (1.0, 0.0)]
-    else:
-        disc = br * br - 4 * ar * cr
-        if abs(disc) <= tol * scale**2:
-            raise DegeneratePencilError("double eigenvalue")
-        if disc < 0:
-            return PencilResult("real_rank_3", _real_rank3_decomposition(A))
-        sq = math.sqrt(disc)
-        q = -(br + sq) / 2 if abs(br + sq) >= abs(br - sq) else -(br - sq) / 2
-        directions_r = [(q / ar, 1.0), (cr / q, 1.0)]
-    weights = _two_term_weights(A, directions_r, real=True)
-    terms = list(zip(weights, directions_r))
-    return PencilResult("rank_2", make_decomposition(3, 2, terms, field_tag="R"))
+    disc = b * b - 4 * a * c
+    if abs(disc) <= PENCIL_DEGENERACY_TOL * scale**2:
+        raise DegeneratePencilError("double eigenvalue")
+    if field == "R" and disc < 0:
+        return PencilResult("real_rank_3", _real_rank3_decomposition(A, m))
+    sq = cmath.sqrt(disc)
+    q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
+    return PencilResult("rank_2", _sylvester(m, [(q, a), (c, q)], field))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+_RANK3_PAIRS = tuple(itertools.combinations(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)), 2))
 
 
-def _real_rank3_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
+def _sine(u, v) -> float:
+    """|sin| of the angle between two real vectors; 0 when either vanishes."""
+    norms = math.hypot(*u) * math.hypot(*v)
+    return abs(u[0] * v[1] - u[1] * v[0]) / norms if norms else 0.0
+
+
+def _real_rank3_decomposition(A: SymmetricTensor, m: list[float]) -> SymmetricDecomposition:
     """Three real powers of linear forms summing to a real 2x2x2 tensor.
 
-    In rotated coordinates the node directions (1,1), (1,-1), (1,0) span the
-    cubics whose class entries satisfy a21 = a03.  The gap g(theta) =
-    a21(theta) - a03(theta) flips sign under a half-turn (an order-3 tensor
-    is odd under negation), so a rotation with g = 0 always exists; there the
-    three weights solve the remaining triangular system exactly.
+    A cubic form g is apolar to A when sum_j g_j m_j = 0.  With g = h * l and
+    h = l_P l_Q the quadratic vanishing at two real nodes P and Q, that reads
+    l(H h) = 0 for the 2x3 catalecticant H, so the third root of g is the
+    node R = H h.  Of the six pairs of the four fixed nodes (1, 0), (0, 1),
+    (1, 1), (1, -1) the one whose three nodes are most separated is kept: R
+    can fall on P or Q for at most five of them.  The result is verified once.
     """
-    dense = decompress(A)
+    top = max(abs(v) for v in m)
 
-    def rotated_entries(theta: float) -> list[float]:
-        rotated = multilinear_transform(dense, [_rotation(theta)] * 3)
-        s = compress(rotated)
-        return [s.coeffs.get(p, 0j).real for p in _SYM222_CLASSES]
+    def with_third_node(P, Q):
+        # l_P l_Q = (p1 s - p0 t)(q1 s - q0 t) in the basis s^2, s t, t^2
+        h = (P[1] * Q[1], -(P[1] * Q[0] + P[0] * Q[1]), P[0] * Q[0])
+        return P, Q, tuple(sum(hj * mj / top for hj, mj in zip(h, m[r : r + 3])) for r in (0, 1))
 
-    def gap(theta: float) -> float:
-        a30, a21, a12, a03 = rotated_entries(theta)
-        return a21 - a03
+    def separation(nodes):
+        return min(_sine(u, v) for u, v in itertools.combinations(nodes, 2))
 
-    thetas = np.linspace(0.0, math.pi, 65)
-    gaps = [gap(t) for t in thetas]
-    gap_scale = max(abs(g) for g in gaps)
-    entry_scale = max((abs(v) for v in A.coeffs.values()), default=0.0)
-    if gap_scale <= 1e-14 * (1.0 + entry_scale) or abs(gaps[0]) <= 1e-13 * gap_scale:
-        theta_star = 0.0
-    else:
-        bracket = next(
-            (i for i in range(len(thetas) - 1) if gaps[i] * gaps[i + 1] <= 0), None
-        )
-        if bracket is None:
-            raise RuntimeError("sign change of the rotation gap not found")
-        lo, hi = float(thetas[bracket]), float(thetas[bracket + 1])
-        g_lo = gaps[bracket]
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            g_mid = gap(mid)
-            if g_lo * g_mid <= 0:
-                hi = mid
-            else:
-                lo, g_lo = mid, g_mid
-        theta_star = 0.5 * (lo + hi)
-
-    a30, a21, a12, a03 = rotated_entries(theta_star)
-    w1 = (a12 + a03) / 2
-    w2 = (a12 - a03) / 2
-    w3 = a30 - a12
-    back = _rotation(theta_star).T
-    nodes = [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0)]
-    directions = [tuple(back @ np.array(u)) for u in nodes]
-    candidate = make_decomposition(3, 2, list(zip((w1, w2, w3), directions)), field_tag="R")
-    if verify(candidate, A).ok:
-        return candidate
-    # perturbed node set, weights by least squares over the four classes
-    nodes = [(1.0, 1.0), (1.0, -1.0), (1.0, 2.0)]
-    directions = [tuple(back @ np.array(u)) for u in nodes]
-    weights = _two_term_weights(A, directions, real=True)
-    candidate = make_decomposition(3, 2, list(zip(weights, directions)), field_tag="R")
-    if verify(candidate, A).ok:
-        return candidate
-    raise RuntimeError("three-term real template failed to reproduce the tensor")
+    nodes = max(itertools.starmap(with_third_node, _RANK3_PAIRS), key=separation)
+    decomposition = _sylvester(m, nodes, "R")
+    if not verify(decomposition, A).ok:
+        raise DegeneratePencilError("no real three-term decomposition verifies")
+    return decomposition
 
 
 def _vcombine(u, v, s) -> tuple[complex, ...]:
@@ -337,20 +301,15 @@ def _tangent_tensor(x, y, k: int) -> SymmetricTensor:
     """Derivative of the outer power along y: d/de (x + e y)^xk at e = 0."""
     xs = [complex(c) for c in x]
     ys = [complex(c) for c in y]
-    n = len(xs)
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for p in enumerate_exponents(k, n):
-        total = 0j
-        for i, e in enumerate(p):
-            if e == 0:
-                continue
-            term = e * ys[i] * xs[i] ** (e - 1)
-            for ell, q in enumerate(p):
-                if ell != i and q:
-                    term *= xs[ell] ** q
-            total += term
-        coeffs[p] = total
-    return SymmetricTensor(k, n, coeffs)
+    coeffs = {
+        p: sum(
+            e * ys[i] * math.prod(xs[ell] ** (q - (ell == i)) for ell, q in enumerate(p))
+            for i, e in enumerate(p)
+            if e
+        )
+        for p in enumerate_exponents(k, len(xs))
+    }
+    return SymmetricTensor(k, len(xs), coeffs)
 
 
 @dataclass(frozen=True)
@@ -456,12 +415,11 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
                 (-1.0 / epsilon, z),
             ],
         )
-        first = _tangent_tensor(x, y, 3)
-        second = _tangent_tensor(z, x, 3)
-        acc = dict(first.coeffs)
-        for p, v in second.coeffs.items():
-            acc[p] = acc.get(p, 0j) + v
-        limit = SymmetricTensor(3, n, acc)
+        first = _tangent_tensor(x, y, 3).coeffs
+        second = _tangent_tensor(z, x, 3).coeffs
+        limit = SymmetricTensor(
+            3, n, {p: first.get(p, 0j) + second.get(p, 0j) for p in first.keys() | second.keys()}
+        )
     return BorderStep(reconstruct(witness), limit, witness)
 
 
@@ -516,11 +474,6 @@ def fit_loglog_slope(table) -> float:
     return float(np.polyfit(eps, dist, 1)[0])
 
 
-def _complex_pair(value: complex) -> list[float]:
-    c = complex(value)
-    return [c.real, c.imag]
-
-
 def decomposition_to_json_obj(D: SymmetricDecomposition) -> dict:
     """JSON object for a decomposition."""
     return {
@@ -534,16 +487,6 @@ def decomposition_to_json_obj(D: SymmetricDecomposition) -> dict:
     }
 
 
-def _read_pair(obj, field: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj)
-    ):
-        raise ValidationError(f"field '{field}': expected a [re, im] number pair")
-    return complex(obj[0], obj[1])
-
-
 def decomposition_from_json_obj(obj) -> SymmetricDecomposition:
     """Parse the decomposition JSON format; terms are renormalized on input."""
     if not isinstance(obj, dict):
@@ -551,11 +494,8 @@ def decomposition_from_json_obj(obj) -> SymmetricDecomposition:
     for key in ("order", "dim", "field", "terms"):
         if key not in obj:
             raise ValidationError(f"field '{key}': missing")
-    order, dim, field = obj["order"], obj["dim"], obj["field"]
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("field 'order': expected a positive integer")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError("field 'dim': expected a positive integer")
+    order, dim = (_read_size(obj[key], key) for key in ("order", "dim"))
+    field = obj["field"]
     if field not in ("R", "C"):
         raise ValidationError("field 'field': must be 'R' or 'C'")
     terms_json = obj["terms"]

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .decompose import PENCIL_DEGENERACY_TOL, pencil_quadratic
+from .decompose import _SYM222_CLASSES, PENCIL_DEGENERACY_TOL, pencil_quadratic
 from .errors import ValidationError
 from .tensor_core import DenseTensor, SymmetricTensor
 
 CHUNK = 1 << 16
 UNIFORMS_PER_TRIAL = {"sym222": 4, "asym222": 8}
-_CLASS_ORDER = ((3, 0), (2, 1), (1, 2), (0, 3))
 _MAX_SEED = 2**128
 
 
@@ -92,7 +91,7 @@ def _trial_gaussians(case: str, seed: int, index: int) -> np.ndarray:
 def sample_sym222(seed: int, index: int) -> SymmetricTensor:
     """Trial `index` of the sym222 stream: one normal per exponent class."""
     z = _trial_gaussians("sym222", seed, index)
-    return SymmetricTensor(3, 2, {p: complex(v) for p, v in zip(_CLASS_ORDER, z)})
+    return SymmetricTensor(3, 2, {p: complex(v) for p, v in zip(_SYM222_CLASSES, z)})
 
 
 def sample_asym222(seed: int, index: int) -> DenseTensor:

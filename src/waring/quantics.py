@@ -14,9 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .combinatorics import as_exponent, multinomial
+from .combinatorics import multinomial
 from .errors import ValidationError
-from .tensor_core import SymmetricTensor, outer_power
+from .tensor_core import SymmetricTensor, _class_entries, outer_power
 
 
 class Quantic:
@@ -29,19 +29,9 @@ class Quantic:
             raise ValidationError("a quantic needs degree >= 1")
         if nvars < 1:
             raise ValidationError("a quantic needs at least one variable")
-        cleaned: dict[tuple[int, ...], complex] = {}
-        for p, v in dict(terms).items():
-            key = as_exponent(p)
-            if len(key) != nvars:
-                raise ValidationError(f"exponent {key} has {len(key)} entries, expected {nvars}")
-            if sum(key) != degree:
-                raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {degree}")
-            value = complex(v)
-            if value != 0:
-                cleaned[key] = value
         self.degree = degree
         self.nvars = nvars
-        self.terms = {p: cleaned[p] for p in sorted(cleaned, reverse=True)}
+        self.terms = _class_entries(degree, nvars, terms)
 
     def __repr__(self):
         return f"Quantic(degree={self.degree}, nvars={self.nvars}, terms={len(self.terms)})"
@@ -106,16 +96,6 @@ def veronese(L, k: int) -> Quantic:
     return Quantic(k, len(beta), outer_power(beta, k).coeffs)
 
 
-def add(F: Quantic, G: Quantic) -> Quantic:
-    """Coefficient-wise sum of two quantics of one shape."""
-    if (F.degree, F.nvars) != (G.degree, G.nvars):
-        raise ValidationError("can only add quantics of one degree and variable count")
-    terms = dict(F.terms)
-    for p, v in G.terms.items():
-        terms[p] = terms.get(p, 0j) + v
-    return Quantic(F.degree, F.nvars, terms)
-
-
 def scale(F: Quantic, c) -> Quantic:
     """Scalar multiple of a quantic."""
     factor = complex(c)
@@ -174,8 +154,16 @@ def render_quantic(F: Quantic) -> str:
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+def _ends_in_exponent_mark(chars: list[str]) -> bool:
+    return len(chars) >= 2 and chars[-1] in "eE" and (chars[-2].isdigit() or chars[-2] == ".")
+
+
 def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level + and - (parenthesized coefficients stay intact)."""
+    """Split on top-level + and - (parenthesized coefficients stay intact).
+
+    A sign right after a mantissa and its 'e', as in 1.5e-05, belongs to the
+    exponent of the coefficient and does not split.
+    """
     terms: list[tuple[int, str]] = []
     sign = 1
     depth = 0
@@ -189,7 +177,7 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
             if depth < 0:
                 raise ValidationError("unbalanced parentheses in quantic text")
             current.append(ch)
-        elif ch in "+-" and depth == 0:
+        elif ch in "+-" and depth == 0 and not _ends_in_exponent_mark(current):
             chunk = "".join(current).strip()
             if chunk:
                 terms.append((sign, chunk))

@@ -11,6 +11,7 @@ Both containers are immutable after construction.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -47,6 +48,21 @@ class DenseTensor:
         return f"DenseTensor(order={self.order}, dim={self.dim})"
 
 
+def _class_entries(order: int, dim: int, coeffs) -> dict[tuple[int, ...], complex]:
+    """Validated exponent classes of one degree, exact zeros pruned, in graded-lex order."""
+    cleaned: dict[tuple[int, ...], complex] = {}
+    for p, v in dict(coeffs).items():
+        key = as_exponent(p)
+        if len(key) != dim:
+            raise ValidationError(f"exponent {key} has {len(key)} entries, expected {dim}")
+        if sum(key) != order:
+            raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
+        value = complex(v)
+        if value != 0:
+            cleaned[key] = value
+    return {p: cleaned[p] for p in sorted(cleaned, reverse=True)}
+
+
 class SymmetricTensor:
     """Order-k dim-n symmetric tensor keyed by exponent class.
 
@@ -61,30 +77,12 @@ class SymmetricTensor:
             raise ValidationError("a symmetric tensor needs order >= 1")
         if dim < 1:
             raise ValidationError("a symmetric tensor needs dimension >= 1")
-        cleaned: dict[tuple[int, ...], complex] = {}
-        for p, v in dict(coeffs).items():
-            key = as_exponent(p)
-            if len(key) != dim:
-                raise ValidationError(f"exponent {key} has {len(key)} entries, expected {dim}")
-            if sum(key) != order:
-                raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
-            value = complex(v)
-            if value != 0:
-                cleaned[key] = value
         self.order = order
         self.dim = dim
-        self.coeffs = {p: cleaned[p] for p in sorted(cleaned, reverse=True)}
+        self.coeffs = _class_entries(order, dim, coeffs)
 
     def __repr__(self):
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={len(self.coeffs)})"
-
-
-def _exponent_of_index0(idx, n: int) -> tuple[int, ...]:
-    """Multiplicity vector of a 0-based index tuple."""
-    counts = [0] * n
-    for i in idx:
-        counts[i] += 1
-    return tuple(counts)
 
 
 def _canonical_index0(p) -> tuple[int, ...]:
@@ -289,12 +287,21 @@ def mode1_unfolding(A: DenseTensor) -> np.ndarray:
     return np.reshape(A.array, (A.dim, -1))
 
 
+def _class_norm(entries) -> float:
+    """sqrt(sum multinomial(p) |v|^2) over (p, v); rescaled when the squares overflow."""
+    entries = list(entries)
+    try:
+        total = sum(multinomial(p) * abs(v) ** 2 for p, v in entries)
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total):
+        return math.sqrt(total)
+    return math.hypot(*(math.sqrt(multinomial(p)) * abs(v) for p, v in entries))
+
+
 def frobenius_norm(A: SymmetricTensor) -> float:
     """Dense-array Euclidean norm computed in compressed form."""
-    total = 0.0
-    for p, v in A.coeffs.items():
-        total += multinomial(p) * abs(v) ** 2
-    return math.sqrt(total)
+    return _class_norm(A.coeffs.items())
 
 
 def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
@@ -303,11 +310,9 @@ def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
         raise ValidationError(
             f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})"
         )
-    total = 0.0
-    for p in A.coeffs.keys() | B.coeffs.keys():
-        diff = A.coeffs.get(p, 0j) - B.coeffs.get(p, 0j)
-        total += multinomial(p) * abs(diff) ** 2
-    return math.sqrt(total)
+    return _class_norm(
+        (p, A.coeffs.get(p, 0j) - B.coeffs.get(p, 0j)) for p in A.coeffs.keys() | B.coeffs.keys()
+    )
 
 
 def _complex_pair(value: complex) -> list[float]:
@@ -345,7 +350,19 @@ def _read_pair(obj, field: str) -> complex:
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj)
     ):
         raise ValidationError(f"field '{field}': expected a [re, im] number pair")
-    return complex(obj[0], obj[1])
+    try:
+        value = complex(obj[0], obj[1])
+    except OverflowError:  # an integer beyond the float range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValidationError(f"field '{field}': expected finite numbers")
+    return value
+
+
+def _read_size(value, field: str) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise ValidationError(f"field '{field}': expected a positive integer")
+    return value
 
 
 def tensor_from_json_obj(obj):
@@ -357,11 +374,7 @@ def tensor_from_json_obj(obj):
         for key in ("order", "dim", "entries"):
             if key not in obj:
                 raise ValidationError(f"field '{key}': missing")
-        order, dim = obj["order"], obj["dim"]
-        if not isinstance(order, int) or order < 1:
-            raise ValidationError("field 'order': expected a positive integer")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValidationError("field 'dim': expected a positive integer")
+        order, dim = _read_size(obj["order"], "order"), _read_size(obj["dim"], "dim")
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != dim**order:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
@@ -394,9 +407,5 @@ def tensor_from_json_obj(obj):
             some = next(iter(coeffs))
             order = sum(some) if order is None else order
             dim = len(some) if dim is None else dim
-        if not isinstance(order, int) or order < 1:
-            raise ValidationError("field 'order': expected a positive integer")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValidationError("field 'dim': expected a positive integer")
-        return SymmetricTensor(order, dim, coeffs)
+        return SymmetricTensor(_read_size(order, "order"), _read_size(dim, "dim"), coeffs)
     raise ValidationError("field 'format': must be 'dense' or 'sym'")

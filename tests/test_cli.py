@@ -197,6 +197,17 @@ def test_decompose_degenerate_pencil_exit_1(capsys, tmp_path):
     assert "degenerate pencil" in err
 
 
+def test_decompose_rejects_non_finite_entries_exit_2(capsys, tmp_path):
+    tensor = tmp_path / "nan.json"
+    tensor.write_text(
+        '{"format": "sym", "order": 3, "dim": 2, "coeffs": ['
+        '{"exponent": [3, 0], "value": [NaN, 0.0]}, {"exponent": [0, 3], "value": [1.0, 0.0]}]}'
+    )
+    code, out, err = run(capsys, "decompose", "--in", str(tensor), "--method", "pencil")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_fixture_pair_exact(capsys):
     code, out, _ = run(
         capsys, "verify",

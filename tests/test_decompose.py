@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waring.combinatorics import enumerate_exponents
 from waring.decompose import (
@@ -221,6 +223,92 @@ def test_pencil_rejects_complex_input_over_r():
 def test_pencil_needs_a_2x2x2_tensor():
     with pytest.raises(ValidationError):
         decompose_sym222_pencil(SymmetricTensor(4, 2, {(2, 2): 1.0}), "C")
+
+
+def sym222_from_moments(m):
+    return SymmetricTensor(3, 2, dict(zip(((3, 0), (2, 1), (1, 2), (0, 3)), m)))
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_pencil_with_near_zero_leading_coefficient_verifies(field):
+    # pencil a = 4e-6 against b = 0.7: one node lies close to the direction (1, 0)
+    a = sym222_from_moments([0.3, 1.0, 1.0, 1.0 + 4e-6])
+    res = decompose_sym222_pencil(a, field)
+    assert res.classification == "rank_2" and len(res.decomposition.terms) == 2
+    assert verify(res.decomposition, a).ok
+
+
+@pytest.mark.parametrize("m3", [3.0, -3.0])
+def test_real_rank_three_where_the_plus_minus_one_nodes_fail(m3):
+    # m2 - m0 = 3 and m3 - m1 = +-3 put the third node of the pair (1, 1), (1, -1) on one of them
+    a = sym222_from_moments([-1.0, 0.0, 2.0, m3])
+    res = decompose_sym222_pencil(a, "R")
+    assert res.classification == "real_rank_3"
+    assert res.decomposition.field_tag == "R" and len(res.decomposition.terms) == 3
+    assert verify(res.decomposition, a).ok
+
+
+def test_real_rank_three_sweep_with_forced_moment_coincidences():
+    rng = np.random.default_rng(43)
+    solved = 0
+    for i in range(400):
+        m = list(rng.normal(size=4))
+        if i % 4 == 0:
+            m[1] = 0.0
+        elif i % 4 == 1:
+            m[2] = m[0]
+        elif i % 4 == 2:
+            m[3] = m[1]
+        else:
+            m[0] = 0.0
+        a = sym222_from_moments(m)
+        qa, qb, qc = (z.real for z in pencil_quadratic(a))
+        if qb * qb - 4 * qa * qc >= 0:
+            continue
+        res = decompose_sym222_pencil(a, "R")
+        assert res.classification == "real_rank_3", m
+        assert res.decomposition.field_tag == "R" and len(res.decomposition.terms) == 3, m
+        assert verify(res.decomposition, a).ok, m
+        solved += 1
+    assert solved > 100
+
+
+def test_pencil_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            decompose_sym222_pencil(sym222_from_moments([1.0, bad, 0.0, 1.0]), "C")
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_pencil_handles_entries_near_the_float_range(field):
+    a = sym222_from_moments([1e300, -3e299, 2e300, 1e300])
+    res = decompose_sym222_pencil(a, field)
+    assert verify(res.decomposition, a).ok
+
+
+_entry = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(["R", "C"]),
+    re=st.lists(_entry, min_size=4, max_size=4),
+    im=st.lists(_entry, min_size=4, max_size=4),
+)
+# a node (eps, 1) with eps^3 below the float range: normalizing it to (1, 1/eps) would overflow
+@example(field="R", re=[1.0, 0.0, 6.952007064452484e-199, 1.0], im=[0.0] * 4)
+def test_pencil_verifies_or_reports_a_degenerate_pencil(field, re, im):
+    m = re if field == "R" else [complex(x, y) for x, y in zip(re, im)]
+    a = sym222_from_moments(m)
+    try:
+        res = decompose_sym222_pencil(a, field)
+    except DegeneratePencilError:
+        return
+    d = res.decomposition
+    expected = {"rank_2": 2, "real_rank_3": 3} if field == "R" else {"rank_2": 2}
+    assert expected.get(res.classification) == len(d.terms)
+    assert d.field_tag == field
+    assert verify(d, a).ok
 
 
 # --- border sequences ----------------------------------------------------------

@@ -116,6 +116,14 @@ def test_parse_round_trip_through_text():
         assert back.coeffs == pytest.approx(s.coeffs, abs=1e-12)
 
 
+def test_parse_round_trip_of_exponent_form_coefficients():
+    for terms in ({(0, 3): 1.0, (3, 0): 1.5e-05}, {(2, 1): -2.5e-07, (0, 3): 3e20}):
+        f = Quantic(3, 2, terms)
+        text = render_quantic(f)
+        assert "e-0" in text or "e+" in text
+        assert parse_quantic(text).terms == f.terms
+
+
 def test_parse_explicit_examples():
     f = parse_quantic("48*x1^3*x2")
     assert f.degree == 4 and f.nvars == 2

@@ -251,6 +251,14 @@ def test_json_errors_name_fields():
         )
 
 
+def test_json_rejects_non_finite_pairs():
+    for bad in ([float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0]):
+        with pytest.raises(ValidationError, match="entries"):
+            tensor_from_json_obj({"format": "dense", "order": 1, "dim": 1, "entries": [bad]})
+        with pytest.raises(ValidationError, match="value"):
+            tensor_from_json_obj({"format": "sym", "coeffs": [{"exponent": [1], "value": bad}]})
+
+
 def test_fixture_files_parse():
     for name in ("a31_tensor.json", "cubic_3xyy_minus_xxx.json", "dense_asym222.json"):
         obj = json.loads((FIXTURES / name).read_text())
