@@ -4,7 +4,8 @@ An exponent vector p = (p1, ..., pn) of degree k = sum(p) labels one
 monomial class of an order-k symmetric tensor over C^n.  An index tuple
 j = (j1, ..., jk) with entries in {1, ..., n} addresses one dense entry;
 its class is the multiplicity vector of the values it contains.  Both are
-represented as plain int tuples.
+represented as plain int tuples; the array kernels of tensor_core read the
+per-(k, n) index tables built and cached here.
 
 All counts are validated against the signed 64-bit range so that a silent
 wraparound can never corrupt downstream bilinear forms.
@@ -12,10 +13,14 @@ wraparound can never corrupt downstream bilinear forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import ArithmeticOverflowError, ValidationError
+import numpy as np
+
+from .errors import ArithmeticOverflowError, CapacityError, ValidationError
 
 _INT64_MAX = 2**63 - 1
 
@@ -66,28 +71,13 @@ def multinomial(p) -> int:
     return _check_int64(result, f"multinomial({exps})")
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    if n == 1:
-        return ((k,),)
-    out = []
-    for first in range(k, -1, -1):
-        for rest in _enumerate_cached(k - first, n - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def enumerate_exponents(k: int, n: int) -> list[tuple[int, ...]]:
     """All exponent vectors of degree k in n variables, in graded-lex order.
 
     Graded-lex on a fixed degree reduces to descending lexicographic order,
     so (2,0) precedes (1,1) precedes (0,2).
     """
-    if k < 0:
-        raise ValidationError("order k must be >= 0")
-    if n < 1:
-        raise ValidationError("dimension n must be >= 1")
-    return list(_enumerate_cached(k, n))
+    return list(_class_tables(k, n).ids)
 
 
 def index_to_exponent(indices, n: int) -> tuple[int, ...]:
@@ -104,3 +94,41 @@ def index_to_exponent(indices, n: int) -> tuple[int, ...]:
             raise ValidationError(f"index {i} outside 1..{n}")
         counts[i - 1] += 1
     return tuple(counts)
+
+
+class _ClassTables(NamedTuple):
+    """Tables of the degree-k classes over n variables in graded-lex (= sorted index tuple) order."""
+
+    ids: dict  # exponent tuple -> class id, iterating in class order
+    columns: np.ndarray  # (n, m) intp: columns[i, c] is the exponent of x_(i+1) in class c
+    multinomials: np.ndarray  # (m,) float64: the class sizes
+
+
+@lru_cache(maxsize=None)
+def _class_tables(k: int, n: int) -> _ClassTables:
+    m = sym_dimension(k, n)
+    if m * n > 1 << 22:
+        raise CapacityError(f"order {k} over C^{n} has {m} exponent classes, too many to store")
+    pairs = itertools.combinations_with_replacement(range(n), k)
+    exps = [tuple(idx.count(i) for i in range(n)) for idx in pairs]
+    columns = np.array(exps, dtype=np.intp).T.copy()
+    mult = np.array([multinomial(p) for p in exps], dtype=np.float64)
+    columns.setflags(write=False)
+    mult.setflags(write=False)
+    return _ClassTables({p: c for c, p in enumerate(exps)}, columns, mult)
+
+
+@lru_cache(maxsize=8)
+def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class id of every dense entry, row-major, and the flat index of each class's canonical entry.
+
+    A class's canonical entry is its sorted index tuple; read as base-n numbers
+    these ascend in graded-lex order, so np.unique numbers classes in storage order.
+    """
+    idx = np.indices((n,) * k, dtype=np.min_scalar_type(n - 1)).reshape(k, -1)
+    idx.sort(axis=0)
+    canon, ids = np.unique(np.ravel_multi_index(idx, (n,) * k), return_inverse=True)
+    ids = ids.astype(np.min_scalar_type(len(canon) - 1))
+    ids.setflags(write=False)
+    canon.setflags(write=False)
+    return ids, canon

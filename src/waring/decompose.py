@@ -27,20 +27,18 @@ from .errors import DegeneratePencilError, ValidationError
 from .tensor_core import (
     SymmetricTensor,
     _complex_pair,
+    _monomials,
     _read_pair,
     _read_size,
     frobenius_distance,
     frobenius_norm,
     numerical_rank,
-    outer_power,
 )
 
 DEFAULT_VERIFY_TOL = 1e-9
 PENCIL_DEGENERACY_TOL = 1e-12
 REAL_FIELD_TOL = 1e-12
 DEFAULT_EPSILONS = tuple(2.0**-i for i in range(3, 11))
-
-_SYM222_CLASSES = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,11 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
 
 
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
-    """Sum of weighted outer powers, in compressed form."""
-    acc: dict[tuple[int, ...], complex] = {}
-    for weight, vector in D.terms:
-        for p, v in outer_power(vector, D.order).coeffs.items():
-            acc[p] = acc.get(p, 0j) + weight * v
-    return SymmetricTensor(D.order, D.dim, acc)
+    """Sum of weighted outer powers, in compressed form, added term by term."""
+    vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
+    powers = _monomials(vectors, D.order)
+    powers *= np.array([w for w, _ in D.terms], dtype=np.complex128)[:, None]
+    return SymmetricTensor._of(D.order, D.dim, powers.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -133,12 +130,8 @@ def binary_monomial_tensor(k: int) -> SymmetricTensor:
 
 
 def _moments(A: SymmetricTensor) -> list[complex]:
-    """Moments m_j = a_(k-j, j), j = 0..k, of a binary tensor."""
-    k = A.order
-    m = [A.coeffs.get((k - j, j), 0j) for j in range(k + 1)]
-    if not all(cmath.isfinite(v) for v in m):
-        raise ValidationError("a binary decomposition needs finite entries")
-    return m
+    """Moments m_j = a_(k-j, j), j = 0..k, of a binary tensor: its graded-lex class vector."""
+    return A._vector.tolist()
 
 
 def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
@@ -195,7 +188,7 @@ def pencil_quadratic(A: SymmetricTensor) -> tuple[complex, complex, complex]:
     quadratic form apolar to A.
     """
     _require_sym222(A)
-    return _catalecticant_kernel(*(A.coeffs.get(p, 0j) for p in _SYM222_CLASSES))
+    return _catalecticant_kernel(*_moments(A))
 
 
 def _catalecticant_kernel(m0, m1, m2, m3):
@@ -402,8 +395,7 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
             3, n,
             [(eta**2, _vcombine(x, y, 1.0 / eta)), (eta**2, _vcombine(x, y, -1.0 / eta))],
         )
-        tangent = _tangent_tensor(y, x, 3)
-        limit = SymmetricTensor(3, n, {p: 2 * v for p, v in tangent.coeffs.items()})
+        limit = SymmetricTensor._of(3, n, 2 * _tangent_tensor(y, x, 3)._vector)
     else:
         x, y, z = spec.base_vectors
         witness = make_decomposition(
@@ -415,11 +407,8 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
                 (-1.0 / epsilon, z),
             ],
         )
-        first = _tangent_tensor(x, y, 3).coeffs
-        second = _tangent_tensor(z, x, 3).coeffs
-        limit = SymmetricTensor(
-            3, n, {p: first.get(p, 0j) + second.get(p, 0j) for p in first.keys() | second.keys()}
-        )
+        tangents = _tangent_tensor(x, y, 3)._vector + _tangent_tensor(z, x, 3)._vector
+        limit = SymmetricTensor._of(3, n, tangents)
     return BorderStep(reconstruct(witness), limit, witness)
 
 

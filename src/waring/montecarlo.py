@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .decompose import _SYM222_CLASSES, PENCIL_DEGENERACY_TOL, pencil_quadratic
+from .decompose import PENCIL_DEGENERACY_TOL, pencil_quadratic
 from .errors import ValidationError
 from .tensor_core import DenseTensor, SymmetricTensor
 
@@ -91,7 +91,7 @@ def _trial_gaussians(case: str, seed: int, index: int) -> np.ndarray:
 def sample_sym222(seed: int, index: int) -> SymmetricTensor:
     """Trial `index` of the sym222 stream: one normal per exponent class."""
     z = _trial_gaussians("sym222", seed, index)
-    return SymmetricTensor(3, 2, {p: complex(v) for p, v in zip(_SYM222_CLASSES, z)})
+    return SymmetricTensor._of(3, 2, z.astype(np.complex128))
 
 
 def sample_asym222(seed: int, index: int) -> DenseTensor:
@@ -100,14 +100,17 @@ def sample_asym222(seed: int, index: int) -> DenseTensor:
     return DenseTensor(z.reshape(2, 2, 2))
 
 
-def _classify_quadratic(a: float, b: float, c: float) -> str:
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        return "degenerate"
+def _discriminant_rule(a, b, c):
+    """(degenerate, discriminant) of a t^2 + b t + c, scalars or arrays; disc > 0 is rank 2."""
+    scale = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c)))
     disc = b * b - 4.0 * a * c
-    if abs(disc) <= PENCIL_DEGENERACY_TOL * scale * scale:
-        return "degenerate"
-    return "rank_2" if disc > 0 else "rank_3"
+    deg = (scale == 0.0) | (np.abs(disc) <= PENCIL_DEGENERACY_TOL * scale * scale)
+    return deg, disc
+
+
+def _classify_quadratic(a: float, b: float, c: float) -> str:
+    deg, disc = _discriminant_rule(a, b, c)
+    return "degenerate" if deg else "rank_2" if disc > 0 else "rank_3"
 
 
 def _require_real(values, what: str) -> None:
@@ -173,9 +176,7 @@ def _run_block(case: str, seed: int, lo: int, hi: int) -> tuple[int, int, int]:
             a = _det2(slices[:, 1])
             c = _det2(slices[:, 0])
             b = _det2(slices[:, 0] + slices[:, 1]) - a - c
-        scale = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c)))
-        disc = b * b - 4.0 * a * c
-        deg = (scale == 0.0) | (np.abs(disc) <= PENCIL_DEGENERACY_TOL * scale * scale)
+        deg, disc = _discriminant_rule(a, b, c)
         degenerate += int(deg.sum())
         live = ~deg
         rank2 += int((live & (disc > 0)).sum())

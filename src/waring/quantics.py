@@ -14,15 +14,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .combinatorics import multinomial
+import numpy as np
+
+from .combinatorics import _class_tables, multinomial
 from .errors import ValidationError
-from .tensor_core import SymmetricTensor, _class_entries, outer_power
+from .tensor_core import SymmetricTensor, _monomials, outer_power
 
 
 class Quantic:
-    """Homogeneous polynomial of degree k in n variables, scaled-basis coefficients."""
+    """Homogeneous polynomial of degree k in n variables, scaled-basis coefficients.
 
-    __slots__ = ("degree", "nvars", "terms")
+    A view on the SymmetricTensor of the same data: quantic_to_tensor returns it.
+    """
+
+    __slots__ = ("degree", "nvars", "_tensor")
 
     def __init__(self, degree: int, nvars: int, terms):
         if degree < 1:
@@ -31,7 +36,11 @@ class Quantic:
             raise ValidationError("a quantic needs at least one variable")
         self.degree = degree
         self.nvars = nvars
-        self.terms = _class_entries(degree, nvars, terms)
+        self._tensor = SymmetricTensor(degree, nvars, terms)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], complex]:
+        return self._tensor.coeffs
 
     def __repr__(self):
         return f"Quantic(degree={self.degree}, nvars={self.nvars}, terms={len(self.terms)})"
@@ -51,27 +60,23 @@ class LinearForm:
 
 def tensor_to_quantic(A: SymmetricTensor) -> Quantic:
     """Identity on stored data: the class entry a_p is the scaled coefficient."""
-    return Quantic(A.order, A.dim, A.coeffs)
+    F = object.__new__(Quantic)
+    F.degree, F.nvars, F._tensor = A.order, A.dim, A
+    return F
 
 
 def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
     """Inverse of tensor_to_quantic; the round trip is exact."""
-    return SymmetricTensor(F.degree, F.nvars, F.terms)
+    return F._tensor
 
 
 def evaluate(F: Quantic, x) -> complex:
     """F at the point x: sum_p multinomial(p) a_p x^p."""
-    point = [complex(c) for c in x]
+    point = np.array([complex(c) for c in x], dtype=np.complex128)
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
-    total = 0j
-    for p, a in F.terms.items():
-        mono = 1.0 + 0j
-        for c, e in zip(point, p):
-            if e:
-                mono *= c**e
-        total += multinomial(p) * a * mono
-    return total
+    weighted = _class_tables(F.degree, F.nvars).multinomials * F._tensor._vector
+    return complex(weighted @ _monomials(point[None, :], F.degree)[0])
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:
@@ -80,10 +85,8 @@ def apolar_form(F: Quantic, G: Quantic) -> complex:
         raise ValidationError(
             f"apolar form needs matching shapes: ({F.degree}, {F.nvars}) vs ({G.degree}, {G.nvars})"
         )
-    total = 0j
-    for p in F.terms.keys() & G.terms.keys():
-        total += multinomial(p) * F.terms[p] * G.terms[p]
-    return total
+    weighted = _class_tables(F.degree, F.nvars).multinomials * F._tensor._vector
+    return complex(weighted @ G._tensor._vector)
 
 
 def veronese(L, k: int) -> Quantic:
@@ -93,7 +96,7 @@ def veronese(L, k: int) -> Quantic:
     quantic_to_tensor(veronese(beta, k)) equals outer_power(beta, k) exactly.
     """
     beta = L.beta if isinstance(L, LinearForm) else tuple(complex(c) for c in L)
-    return Quantic(k, len(beta), outer_power(beta, k).coeffs)
+    return tensor_to_quantic(outer_power(beta, k))
 
 
 def scale(F: Quantic, c) -> Quantic:
@@ -131,11 +134,12 @@ def render_quantic(F: Quantic) -> str:
     Terms appear in ascending lexicographic exponent order.  The printed
     coefficient is multinomial(p) times the stored a_p.
     """
-    if not F.terms:
+    terms = F.terms
+    if not terms:
         return "0"
     parts: list[str] = []
-    for p in sorted(F.terms):
-        c = multinomial(p) * F.terms[p]
+    for p in sorted(terms):
+        c = multinomial(p) * terms[p]
         mono = _format_monomial(p)
         if c.imag == 0:
             negative = c.real < 0

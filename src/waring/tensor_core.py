@@ -6,23 +6,32 @@ value per exponent class p: the common entry a_j shared by every index tuple
 j whose multiplicity vector is p.  The compressed form is canonical; dense
 arrays are materialized on demand under a configurable entry cap.
 
-Both containers are immutable after construction.
+The classes live in one read-only graded-lex vector, which a Quantic of the
+same data shares.  Kernels are array operations over index tables cached per
+(k, n); only the dense conversions build the class id of every dense entry.
+Both containers are immutable after construction and reject non-finite values.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 
-from .combinatorics import as_exponent, enumerate_exponents, multinomial, sym_dimension
+from .combinatorics import _class_tables, _dense_tables, as_exponent
 from .errors import CapacityError, SymmetryError, ValidationError
 
 DENSE_ENTRY_CAP = 10_000_000
 DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
+
+
+def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 class DenseTensor:
@@ -39,77 +48,67 @@ class DenseTensor:
             raise ValidationError("a dense tensor needs dimension >= 1")
         if any(s != n for s in arr.shape):
             raise ValidationError(f"non-cubical shape {arr.shape}")
-        arr.setflags(write=False)
         self.order = arr.ndim
         self.dim = n
-        self.array = arr
+        self.array = _frozen_finite(arr, "dense tensor entries")
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
 
 
-def _class_entries(order: int, dim: int, coeffs) -> dict[tuple[int, ...], complex]:
-    """Validated exponent classes of one degree, exact zeros pruned, in graded-lex order."""
-    cleaned: dict[tuple[int, ...], complex] = {}
-    for p, v in dict(coeffs).items():
-        key = as_exponent(p)
-        if len(key) != dim:
-            raise ValidationError(f"exponent {key} has {len(key)} entries, expected {dim}")
-        if sum(key) != order:
-            raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
-        value = complex(v)
-        if value != 0:
-            cleaned[key] = value
-    return {p: cleaned[p] for p in sorted(cleaned, reverse=True)}
-
-
 class SymmetricTensor:
     """Order-k dim-n symmetric tensor keyed by exponent class.
 
-    Absent classes are zero; exact zeros are pruned on construction, and the
-    stored classes are kept in graded-lex order for deterministic iteration.
+    `coeffs` maps each nonzero class to its entry in graded-lex order; absent
+    classes are zero and exact zeros are pruned.
     """
 
-    __slots__ = ("order", "dim", "coeffs")
+    __slots__ = ("order", "dim", "_vector")
 
     def __init__(self, order: int, dim: int, coeffs):
         if order < 1:
             raise ValidationError("a symmetric tensor needs order >= 1")
         if dim < 1:
             raise ValidationError("a symmetric tensor needs dimension >= 1")
-        self.order = order
-        self.dim = dim
-        self.coeffs = _class_entries(order, dim, coeffs)
+        ids = _class_tables(order, dim).ids
+        vec = np.zeros(len(ids), dtype=np.complex128)
+        for p, v in dict(coeffs).items():
+            key = as_exponent(p)
+            if len(key) != dim:
+                raise ValidationError(f"exponent {key} has {len(key)} entries, expected {dim}")
+            if sum(key) != order:
+                raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
+            value = complex(v)
+            if value != 0:
+                vec[ids[key]] = value
+        self.order, self.dim, self._vector = order, dim, _frozen_finite(vec, "coefficients")
+
+    @classmethod
+    def _of(cls, order: int, dim: int, vector: np.ndarray) -> SymmetricTensor:
+        """Take over a fresh class vector the library computed for this shape; no validation."""
+        vector[vector == 0] = 0  # a pruned class reads +0, never -0
+        vector.setflags(write=False)
+        self = object.__new__(cls)
+        self.order, self.dim, self._vector = order, dim, vector
+        return self
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], complex]:
+        ids = _class_tables(self.order, self.dim).ids
+        return {p: v for p, v in zip(ids, self._vector.tolist()) if v}
 
     def __repr__(self):
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={len(self.coeffs)})"
 
 
-def _canonical_index0(p) -> tuple[int, ...]:
-    """Sorted 0-based index tuple representing the class of p."""
-    out: list[int] = []
-    for i, e in enumerate(p):
-        out.extend([i] * e)
-    return tuple(out)
-
-
 def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float]:
-    """Largest |a_j - a_canonical(j)|, its location, and the max entry magnitude."""
-    arr = A.array
-    scale = float(np.abs(arr).max()) if arr.size else 0.0
-    worst = 0.0
-    worst_idx: tuple = ()
-    worst_canon: tuple = ()
-    for idx in np.ndindex(arr.shape):
-        canon = tuple(sorted(idx))
-        if canon == idx:
-            continue
-        dev = abs(arr[idx] - arr[canon])
-        if dev > worst:
-            worst = dev
-            worst_idx = idx
-            worst_canon = canon
-    return worst, worst_idx, worst_canon, scale
+    """Largest |a_j - a_canonical(j)|, its first row-major location, and the max entry magnitude."""
+    flat = A.array.reshape(-1)
+    ids, canon = _dense_tables(A.order, A.dim)
+    dev = np.abs(flat - flat[canon[ids]])
+    j = int(np.argmax(dev))
+    idx = tuple(int(i) for i in np.unravel_index(j, A.array.shape))
+    return dev[j], idx, tuple(sorted(idx)), float(np.abs(flat).max())
 
 
 def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
@@ -128,20 +127,16 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
 
     Computed by class averaging over canonical index multisets rather than
     an explicit k! permutation sum; the two agree because every permutation
-    class member appears the same number of times.
+    class member appears the same number of times.  The class sums add the
+    entries in row-major order.
     """
-    arr = A.array
-    sums: dict[tuple, complex] = {}
-    counts: dict[tuple, int] = {}
-    for idx in np.ndindex(arr.shape):
-        canon = tuple(sorted(idx))
-        sums[canon] = sums.get(canon, 0j) + arr[idx]
-        counts[canon] = counts.get(canon, 0) + 1
-    out = np.empty_like(arr)
-    means = {canon: sums[canon] / counts[canon] for canon in sums}
-    for idx in np.ndindex(arr.shape):
-        out[idx] = means[tuple(sorted(idx))]
-    return DenseTensor(out)
+    flat = A.array.reshape(-1)
+    ids, canon = _dense_tables(A.order, A.dim)
+    sums = np.empty(len(canon), dtype=np.complex128)
+    sums.real = np.bincount(ids, weights=flat.real, minlength=len(canon))
+    sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(canon))
+    means = sums / _class_tables(A.order, A.dim).multinomials
+    return DenseTensor(means[ids].reshape(A.array.shape))
 
 
 def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTensor:
@@ -158,11 +153,8 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
             index=idx,
             canonical=canon,
         )
-    arr = A.array
-    coeffs = {}
-    for p in enumerate_exponents(A.order, A.dim):
-        coeffs[p] = complex(arr[_canonical_index0(p)])
-    return SymmetricTensor(A.order, A.dim, coeffs)
+    canon = _dense_tables(A.order, A.dim)[1]
+    return SymmetricTensor._of(A.order, A.dim, A.array.reshape(-1)[canon])
 
 
 def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseTensor:
@@ -172,30 +164,27 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
         raise CapacityError(
             f"dense form needs {total} entries, above the cap of {max_entries}"
         )
-    arr = np.zeros((S.dim,) * S.order, dtype=np.complex128)
-    for p, v in S.coeffs.items():
-        canon = _canonical_index0(p)
-        members = np.array(sorted(set(itertools.permutations(canon))), dtype=np.intp)
-        arr[tuple(members.T)] = v
-    return DenseTensor(arr)
+    return DenseTensor(S._vector[_dense_tables(S.order, S.dim)[0]].reshape((S.dim,) * S.order))
+
+
+def _monomials(points: np.ndarray, k: int) -> np.ndarray:
+    """Row r, column c: prod_i points[r, i] ** p_i for the class p of column c (graded-lex)."""
+    columns = _class_tables(k, points.shape[1]).columns
+    powers = points[:, :, None] ** np.arange(k + 1)
+    out = powers[:, 0, columns[0]]
+    for i in range(1, len(columns)):
+        out *= powers[:, i, columns[i]]
+    return out
 
 
 def outer_power(v, k: int) -> SymmetricTensor:
     """k-fold symmetric outer power of a vector: coeffs[p] = prod_i v_i^p_i."""
     if k < 1:
         raise ValidationError("outer power needs order k >= 1")
-    vec = [complex(c) for c in v]
-    n = len(vec)
-    if n < 1:
+    vec = np.array([complex(c) for c in v], dtype=np.complex128)
+    if len(vec) < 1:
         raise ValidationError("outer power needs a nonempty vector")
-    coeffs = {}
-    for p in enumerate_exponents(k, n):
-        val = 1.0 + 0j
-        for c, e in zip(vec, p):
-            if e:
-                val *= c**e
-        coeffs[p] = val
-    return SymmetricTensor(k, n, coeffs)
+    return SymmetricTensor._of(k, len(vec), _monomials(vec[None, :], k)[0])
 
 
 def contract_mode1(A: DenseTensor, B: DenseTensor):
@@ -249,19 +238,15 @@ def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def coefficient_vector(S: SymmetricTensor, scaled: bool = True) -> np.ndarray:
-    """Graded-lex coefficient vector of a symmetric tensor.
+    """Graded-lex coefficient vector of a symmetric tensor, as a new array.
 
     With scaled=True each class entry is multiplied by sqrt(multinomial(p)),
     so Euclidean inner products of these vectors equal dense Frobenius inner
     products.
     """
-    exps = enumerate_exponents(S.order, S.dim)
-    out = np.zeros(len(exps), dtype=np.complex128)
-    for col, p in enumerate(exps):
-        v = S.coeffs.get(p)
-        if v is not None:
-            out[col] = v * math.sqrt(multinomial(p)) if scaled else v
-    return out
+    if not scaled:
+        return S._vector.copy()
+    return S._vector * np.sqrt(_class_tables(S.order, S.dim).multinomials)
 
 
 def power_span_rank(vectors, k: int, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -273,13 +258,9 @@ def power_span_rank(vectors, k: int, tol: float = DEFAULT_RANK_TOL) -> int:
     vecs = list(vectors)
     if not vecs:
         raise ValidationError("power_span_rank needs at least one vector")
-    n = len(vecs[0])
-    rows = np.zeros((len(vecs), sym_dimension(k, n)), dtype=np.complex128)
-    for r, v in enumerate(vecs):
-        if len(v) != n:
-            raise ValidationError("vectors must share one dimension")
-        rows[r] = coefficient_vector(outer_power(v, k), scaled=True)
-    return numerical_rank(rows, tol)
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise ValidationError("vectors must share one dimension")
+    return numerical_rank(np.array([coefficient_vector(outer_power(v, k)) for v in vecs]), tol)
 
 
 def mode1_unfolding(A: DenseTensor) -> np.ndarray:
@@ -287,21 +268,20 @@ def mode1_unfolding(A: DenseTensor) -> np.ndarray:
     return np.reshape(A.array, (A.dim, -1))
 
 
-def _class_norm(entries) -> float:
-    """sqrt(sum multinomial(p) |v|^2) over (p, v); rescaled when the squares overflow."""
-    entries = list(entries)
-    try:
-        total = sum(multinomial(p) * abs(v) ** 2 for p, v in entries)
-    except OverflowError:
-        total = math.inf
-    if math.isfinite(total):
-        return math.sqrt(total)
-    return math.hypot(*(math.sqrt(multinomial(p)) * abs(v) for p, v in entries))
+def _class_norm(order: int, dim: int, vec: np.ndarray) -> float:
+    """sqrt(sum multinomial(p) |v_p|^2), summed at a power-of-two scale so no square overflows."""
+    w = np.abs(vec)
+    top = float(w.max())
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    w /= scale
+    return scale * math.sqrt(_class_tables(order, dim).multinomials @ (w * w))
 
 
 def frobenius_norm(A: SymmetricTensor) -> float:
     """Dense-array Euclidean norm computed in compressed form."""
-    return _class_norm(A.coeffs.items())
+    return _class_norm(A.order, A.dim, A._vector)
 
 
 def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
@@ -310,9 +290,7 @@ def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
         raise ValidationError(
             f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})"
         )
-    return _class_norm(
-        (p, A.coeffs.get(p, 0j) - B.coeffs.get(p, 0j)) for p in A.coeffs.keys() | B.coeffs.keys()
-    )
+    return _class_norm(A.order, A.dim, A._vector - B._vector)
 
 
 def _complex_pair(value: complex) -> list[float]:

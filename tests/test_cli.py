@@ -208,6 +208,14 @@ def test_decompose_rejects_non_finite_entries_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_from_poly_rejects_nan_exit_2(capsys, tmp_path):
+    poly = tmp_path / "nan.txt"
+    poly.write_text("nan*x1^3\n")
+    code, out, err = run(capsys, "from-poly", "--in", str(poly))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_fixture_pair_exact(capsys):
     code, out, _ = run(
         capsys, "verify",

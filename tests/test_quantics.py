@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waring.combinatorics import enumerate_exponents
 from waring.errors import ValidationError
@@ -169,3 +171,31 @@ def test_veronese_coeffs_are_monomials_of_beta():
         for b, e in zip(beta, p):
             expected *= b**e
         assert val == pytest.approx(expected)
+
+
+def test_non_finite_coefficients_are_rejected():
+    for text in ("nan*x1^3", "inf*x1^3", "-inf*x1*x2 + x2^2", "(1+nanj)*x1", "1e309*x1^2"):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_quantic(text)
+    with pytest.raises(ValidationError, match="finite"):
+        Quantic(2, 1, {(2,): float("nan")})
+    with pytest.raises(ValidationError, match="finite"):
+        scale(parse_quantic("x1^2"), float("inf"))
+
+
+_part = st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(1, 4), n=st.integers(1, 3), data=st.data())
+def test_render_parse_round_trip_keeps_the_printed_digits(k, n, data):
+    classes = enumerate_exponents(k, n)
+    values = data.draw(st.lists(st.tuples(_part, _part), min_size=len(classes), max_size=len(classes)))
+    f = Quantic(k, n, {p: complex(re, im) for p, (re, im) in zip(classes, values)})
+    assume(f.terms)
+    text = render_quantic(f)
+    back = parse_quantic(text, nvars=n)
+    assert render_quantic(back) == text
+    assert back.terms.keys() == f.terms.keys()
+    for p, a in f.terms.items():
+        assert abs(back.terms[p] - a) <= 1e-11 * abs(a)

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waring.combinatorics import enumerate_exponents, multinomial
 from waring.errors import CapacityError, SymmetryError, ValidationError
 from waring.tensor_core import (
+    DEFAULT_SYMMETRY_TOL,
     DenseTensor,
     SymmetricTensor,
     coefficient_vector,
@@ -263,3 +268,204 @@ def test_fixture_files_parse():
     for name in ("a31_tensor.json", "cubic_3xyy_minus_xxx.json", "dense_asym222.json"):
         obj = json.loads((FIXTURES / name).read_text())
         tensor_from_json_obj(obj)
+
+
+# --- array kernels against the loop implementations they replaced ---------------
+#
+# The references below are the entry-by-entry and class-by-class loops the
+# array kernels replaced.  Storage conversions must match them bit for bit;
+# the algebra sums in another order and must agree within 1e-12 * (1 + scale).
+
+KERNEL_SHAPES = [(1, 1), (1, 4), (2, 1), (3, 2), (3, 10), (4, 3), (5, 6), (6, 5)]
+
+
+def ref_symmetrize(arr):
+    sums, counts = {}, {}
+    for idx in np.ndindex(arr.shape):
+        canon = tuple(sorted(idx))
+        sums[canon] = sums.get(canon, 0j) + arr[idx]
+        counts[canon] = counts.get(canon, 0) + 1
+    out = np.empty_like(arr)
+    for idx in np.ndindex(arr.shape):
+        canon = tuple(sorted(idx))
+        out[idx] = sums[canon] / counts[canon]
+    return out
+
+
+def ref_worst_asymmetry(arr):
+    scale = float(np.abs(arr).max())
+    worst, worst_idx, worst_canon = 0.0, (), ()
+    for idx in np.ndindex(arr.shape):
+        canon = tuple(sorted(idx))
+        if canon != idx and abs(arr[idx] - arr[canon]) > worst:
+            worst, worst_idx, worst_canon = abs(arr[idx] - arr[canon]), idx, canon
+    return worst, worst_idx, worst_canon, scale
+
+
+def canonical_index0(p):
+    return tuple(i for i, e in enumerate(p) for _ in range(e))
+
+
+def ref_compress(arr, k, n):
+    """Class dict of the reference compress, or the SymmetryError it raises as (message, index, canonical)."""
+    worst, idx, canon, scale = ref_worst_asymmetry(arr)
+    if worst > DEFAULT_SYMMETRY_TOL * (1.0 + scale):
+        message = (
+            f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e} "
+            f"exceeds {DEFAULT_SYMMETRY_TOL:.1e} * (1 + {scale:.3e})"
+        )
+        return message, idx, canon
+    values = {p: complex(arr[canonical_index0(p)]) for p in enumerate_exponents(k, n)}
+    return {p: v for p, v in values.items() if v != 0}
+
+
+def ref_decompress(coeffs, k, n):
+    arr = np.zeros((n,) * k, dtype=np.complex128)
+    for p, v in coeffs.items():
+        members = np.array(sorted(set(itertools.permutations(canonical_index0(p)))), dtype=np.intp)
+        arr[tuple(members.T)] = v
+    return arr
+
+
+def ref_monomial(point, p):
+    val = 1.0 + 0j
+    for c, e in zip(point, p):
+        if e:
+            val *= complex(c) ** e
+    return val
+
+
+def ref_outer_power(v, k):
+    return {p: ref_monomial(v, p) for p in enumerate_exponents(k, len(v))}
+
+
+def ref_reconstruct(terms, k, n):
+    acc = {p: 0j for p in enumerate_exponents(k, n)}
+    for w, v in terms:
+        for p, value in ref_outer_power(v, k).items():
+            acc[p] += w * value
+    return acc
+
+
+def ref_norm(coeffs):
+    return math.sqrt(sum(multinomial(p) * abs(v) ** 2 for p, v in coeffs.items()))
+
+
+def ref_evaluate(coeffs, point):
+    return sum(multinomial(p) * a * ref_monomial(point, p) for p, a in coeffs.items())
+
+
+def ref_apolar(f, g):
+    return sum(multinomial(p) * f[p] * g.get(p, 0j) for p in f)
+
+
+def assert_close(got: dict, want: dict, scale: float):
+    assert set(got) <= set(want)
+    for p, w in want.items():
+        assert abs(got.get(p, 0j) - w) <= 1e-12 * (1.0 + scale), p
+
+
+def random_entries(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SHAPES)
+def test_storage_kernels_match_the_loops_bit_for_bit(k, n):
+    rng = np.random.default_rng([k, n])
+    raw = random_entries(rng, (n,) * k)
+    sym = symmetrize(DenseTensor(raw))
+    assert sym.array.tobytes() == ref_symmetrize(raw).tobytes()
+    threshold = DEFAULT_SYMMETRY_TOL * (1.0 + np.abs(sym.array).max())
+    inputs = [raw, sym.array]
+    for factor in (0.9, 1.1):  # one entry off its class by just under / just over the tolerance
+        nudged = sym.array.copy()
+        nudged.reshape(-1)[n ** (k - 1) if n > 1 else 0] += factor * threshold
+        inputs.append(nudged)
+    for arr in inputs:
+        want = ref_compress(arr, k, n)
+        tensor = DenseTensor(arr)
+        assert is_symmetric(tensor) == isinstance(want, dict)
+        if isinstance(want, dict):
+            packed = compress(tensor)
+            assert packed.coeffs == want
+            assert decompress(packed).array.tobytes() == ref_decompress(want, k, n).tobytes()
+        else:
+            with pytest.raises(SymmetryError) as info:
+                compress(tensor)
+            assert (str(info.value), info.value.index, info.value.canonical) == want
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SHAPES)
+def test_algebra_kernels_match_the_loops(k, n):
+    from waring.decompose import make_decomposition, reconstruct, verify
+    from waring.quantics import apolar_form, evaluate, tensor_to_quantic, veronese
+
+    rng = np.random.default_rng([k, n, 1])
+    r = -(-len(enumerate_exponents(k, n)) // n)
+    weights = random_entries(rng, r)
+    vectors = random_entries(rng, (r, n))
+    v, beta = vectors[0], tuple(random_entries(rng, n))
+    scale = float(np.max(np.abs(v))) ** k
+    assert_close(outer_power(v, k).coeffs, ref_outer_power(v, k), scale)
+    assert_close(tensor_to_quantic(outer_power(v, k)).terms, veronese(v, k).terms, 0.0)
+
+    decomposition = make_decomposition(k, n, list(zip(weights, map(tuple, vectors))))
+    terms = decomposition.terms
+    scale = sum(abs(w) * max(abs(c) for c in u) ** k for w, u in terms)
+    want = ref_reconstruct(terms, k, n)
+    assert_close(reconstruct(decomposition).coeffs, want, scale)
+
+    target = SymmetricTensor(k, n, {p: complex(rng.normal(), rng.normal()) for p in want})
+    residual = ref_norm({p: want[p] - target.coeffs.get(p, 0j) for p in want})
+    got = verify(decomposition, target).residual
+    assert abs(got - residual) <= 1e-12 * (1.0 + residual + ref_norm(want))
+
+    form = tensor_to_quantic(target)
+    size = ref_evaluate({p: abs(a) for p, a in form.terms.items()}, [abs(c) for c in beta])
+    assert abs(evaluate(form, beta) - ref_evaluate(form.terms, beta)) <= 1e-12 * (1.0 + size.real)
+    power = veronese(beta, k)
+    size = ref_apolar({p: abs(a) for p, a in form.terms.items()}, {p: abs(b) for p, b in power.terms.items()})
+    assert abs(apolar_form(form, power) - ref_apolar(form.terms, power.terms)) <= 1e-12 * (1.0 + size.real)
+
+
+def test_frobenius_norm_stays_finite_near_the_float_range():
+    s = SymmetricTensor(3, 2, {(3, 0): 1e300, (2, 1): -1e300, (1, 2): 1e300, (0, 3): 1e300})
+    assert frobenius_norm(s) == pytest.approx(math.sqrt(8) * 1e300, rel=1e-15)
+    minus = SymmetricTensor(3, 2, {p: -v for p, v in s.coeffs.items()})
+    assert frobenius_distance(s, minus) == pytest.approx(2 * math.sqrt(8) * 1e300, rel=1e-15)
+
+
+def test_constructors_reject_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            DenseTensor(np.array([[1.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            SymmetricTensor(2, 2, {(2, 0): 1.0, (1, 1): bad})
+
+
+def test_coefficient_vector_is_a_fresh_array():
+    s = SymmetricTensor(2, 2, {(2, 0): 1.0, (0, 2): -2.0})
+    raw = coefficient_vector(s, scaled=False)
+    raw[0] = 7.0
+    assert s.coeffs == {(2, 0): 1.0, (0, 2): -2.0}
+
+
+# --- JSON round trip -----------------------------------------------------------------
+
+_finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_json_round_trip_returns_the_same_tensor(k, n, data):
+    entries = data.draw(st.lists(_finite_complex, min_size=n**k, max_size=n**k))
+    dense = DenseTensor(np.array(entries, dtype=np.complex128).reshape((n,) * k))
+    back = tensor_from_json_obj(json.loads(json.dumps(tensor_to_json_obj(dense))))
+    assert isinstance(back, DenseTensor) and back.array.tobytes() == dense.array.tobytes()
+
+    classes = enumerate_exponents(k, n)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(classes), _finite_complex))
+    sym = SymmetricTensor(k, n, coeffs)
+    back = tensor_from_json_obj(json.loads(json.dumps(tensor_to_json_obj(sym))))
+    assert isinstance(back, SymmetricTensor)
+    assert (back.order, back.dim, back.coeffs) == (k, n, sym.coeffs)
