@@ -85,11 +85,10 @@ class SymmetricTensor:
 
     @classmethod
     def _of(cls, order: int, dim: int, vector: np.ndarray) -> SymmetricTensor:
-        """Take over a fresh class vector the library computed for this shape; no validation."""
+        """Take over a fresh class vector the library computed for this shape; no key validation."""
         vector[vector == 0] = 0  # a pruned class reads +0, never -0
-        vector.setflags(write=False)
         self = object.__new__(cls)
-        self.order, self.dim, self._vector = order, dim, vector
+        self.order, self.dim, self._vector = order, dim, _frozen_finite(vector, "coefficients")
         return self
 
     @property

@@ -469,3 +469,13 @@ def test_json_round_trip_returns_the_same_tensor(k, n, data):
     back = tensor_from_json_obj(json.loads(json.dumps(tensor_to_json_obj(sym))))
     assert isinstance(back, SymmetricTensor)
     assert (back.order, back.dim, back.coeffs) == (k, n, sym.coeffs)
+
+
+def test_library_results_that_overflow_are_rejected():
+    from waring.decompose import make_decomposition, verify
+
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="finite"):
+        outer_power((1e200, 1.0), 2)
+    decomposition = make_decomposition(3, 2, [(1.0, (1.0, 1e200))])
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="finite"):
+        verify(decomposition, SymmetricTensor(3, 2, {(3, 0): 1.0}))
