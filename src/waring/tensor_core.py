@@ -273,7 +273,7 @@ def _class_norm(order: int, dim: int, vec: np.ndarray) -> float:
     top = float(w.max())
     if top == 0.0 or not math.isfinite(top):
         return top
-    scale = math.ldexp(1.0, math.frexp(top)[1])
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)  # top / scale lies in [1, 2)
     w /= scale
     return scale * math.sqrt(_class_tables(order, dim).multinomials @ (w * w))
 

@@ -376,7 +376,8 @@ def test_storage_kernels_match_the_loops_bit_for_bit(k, n):
     sym = symmetrize(DenseTensor(raw))
     assert sym.array.tobytes() == ref_symmetrize(raw).tobytes()
     threshold = DEFAULT_SYMMETRY_TOL * (1.0 + np.abs(sym.array).max())
-    inputs = [raw, sym.array]
+    ramp = np.arange(n**k, dtype=float).reshape((n,) * k)  # integer deviations: ties for the worst entry
+    inputs = [raw, ramp, sym.array]
     for factor in (0.9, 1.1):  # one entry off its class by just under / just over the tolerance
         nudged = sym.array.copy()
         nudged.reshape(-1)[n ** (k - 1) if n > 1 else 0] += factor * threshold
@@ -433,6 +434,8 @@ def test_frobenius_norm_stays_finite_near_the_float_range():
     assert frobenius_norm(s) == pytest.approx(math.sqrt(8) * 1e300, rel=1e-15)
     minus = SymmetricTensor(3, 2, {p: -v for p, v in s.coeffs.items()})
     assert frobenius_distance(s, minus) == pytest.approx(2 * math.sqrt(8) * 1e300, rel=1e-15)
+    assert frobenius_norm(SymmetricTensor(1, 1, {(1,): 1.7e308})) == 1.7e308
+    assert frobenius_norm(SymmetricTensor(1, 1, {(1,): 5e-324})) == 5e-324
 
 
 def test_constructors_reject_non_finite_values():
