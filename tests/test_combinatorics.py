@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from waring.combinatorics import (
@@ -89,3 +90,29 @@ def test_exponent_validation():
         multinomial((1, -1))
     with pytest.raises(ValidationError):
         multinomial(())
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12)])
+def test_dense_tables_number_classes_in_storage_order(k, n):
+    from waring.combinatorics import _class_tables, _dense_tables
+
+    ids, canon = _dense_tables(k, n)
+    exps = enumerate_exponents(k, n)
+    assert ids.dtype == (np.uint8 if len(exps) <= 256 else np.uint16)
+    assert list(_class_tables(k, n).ids) == exps
+    for flat, cls in zip(range(n**k), ids):
+        assert index_to_exponent([i + 1 for i in np.unravel_index(flat, (n,) * k)], n) == exps[cls]
+    for cls, flat in enumerate(canon):
+        idx = np.unravel_index(flat, (n,) * k)
+        assert list(idx) == sorted(idx) and ids[flat] == cls
+
+
+def test_class_tables_refuse_shapes_too_large_to_store():
+    from waring.errors import CapacityError
+    from waring.tensor_core import SymmetricTensor
+
+    with pytest.raises(CapacityError):
+        SymmetricTensor(30, 30, {})
+    with pytest.raises(CapacityError):
+        enumerate_exponents(3, 2000)
+    assert len(enumerate_exponents(1, 1100)) == 1100  # wide shapes enumerate without recursion
