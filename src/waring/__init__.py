@@ -8,6 +8,8 @@ monomial family and 2x2x2 tensors over R and C by Sylvester's method,
 border-rank demonstration sequences, and Monte-Carlo typical-rank experiments.
 """
 
+import types
+
 from .combinatorics import (
     degree,
     enumerate_exponents,
@@ -100,80 +102,6 @@ from .tensor_core import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithmeticOverflowError",
-    "BorderSequenceSpec",
-    "BorderStep",
-    "CapacityError",
-    "DegeneratePencilError",
-    "DenseTensor",
-    "EXCEPTIONAL_PAIRS",
-    "LinearForm",
-    "NotApplicableError",
-    "PencilResult",
-    "Quantic",
-    "RankReport",
-    "SymmetricDecomposition",
-    "SymmetricTensor",
-    "SymmetryError",
-    "TrialStats",
-    "UnsupportedOrderError",
-    "ValidationError",
-    "VerifyReport",
-    "apolar_form",
-    "binary_monomial_tensor",
-    "border_distance_table",
-    "border_sequence",
-    "classify_asym222",
-    "classify_sym222",
-    "coefficient_vector",
-    "compress",
-    "contract_mode1",
-    "decompose_monomial_rank_k",
-    "decompose_sym222_pencil",
-    "decomposition_from_json_obj",
-    "decomposition_to_json_obj",
-    "decompress",
-    "degree",
-    "enumerate_exponents",
-    "evaluate",
-    "fiber_dimension",
-    "fiber_table",
-    "finitely_many_generic_decompositions",
-    "fit_loglog_slope",
-    "frobenius_distance",
-    "frobenius_norm",
-    "generic_rank_table",
-    "generic_symmetric_rank",
-    "index_to_exponent",
-    "is_exceptional",
-    "is_symmetric",
-    "limit_decomposition",
-    "make_border_spec",
-    "make_decomposition",
-    "max_symmetric_rank_binary",
-    "mode1_unfolding",
-    "multilinear_transform",
-    "multinomial",
-    "numerical_rank",
-    "outer_power",
-    "parse_quantic",
-    "pencil_quadratic",
-    "power_span_rank",
-    "quantic_to_tensor",
-    "rank_report",
-    "reconstruct",
-    "render_quantic",
-    "sample_asym222",
-    "sample_sym222",
-    "stats_to_csv",
-    "sym_dimension",
-    "symmetric_rank_bounds",
-    "symmetrize",
-    "tensor_from_json_obj",
-    "tensor_to_json_obj",
-    "tensor_to_quantic",
-    "typical_rank_experiment",
-    "veronese",
-    "verify",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, types.ModuleType)
+)

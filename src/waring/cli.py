@@ -84,12 +84,8 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_tensor(path: str):
-    return tensor_from_json_obj(_load_json(path))
-
-
 def _load_symmetric(path: str, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTensor:
-    t = _load_tensor(path)
+    t = tensor_from_json_obj(_load_json(path))
     return t if isinstance(t, SymmetricTensor) else compress(t, tol)
 
 
@@ -141,7 +137,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    t = _load_tensor(args.infile)
+    t = tensor_from_json_obj(_load_json(args.infile))
     dense = t if isinstance(t, DenseTensor) else decompress(t)
     s = compress(symmetrize(dense), args.tol)
     _emit_json(tensor_to_json_obj(s), args.out)
@@ -167,10 +163,9 @@ def _monomial_decomposition(s: SymmetricTensor):
     k = s.order
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
-    pivot = (1, k - 1)
-    top = max((abs(v) for v in s.coeffs.values()), default=0.0)
-    off = max((abs(v) for p, v in s.coeffs.items() if p != pivot), default=0.0)
-    if pivot not in s.coeffs or off > 1e-12 * top:
+    pivot, coeffs = (1, k - 1), s.coeffs
+    off = max((abs(v) for p, v in coeffs.items() if p != pivot), default=0.0)
+    if pivot not in coeffs or off > 1e-12 * abs(coeffs[pivot]):
         raise ValidationError(
             "method monomial needs a tensor proportional to z1*z2^(k-1): "
             f"exactly the exponent class {list(pivot)} may be nonzero"

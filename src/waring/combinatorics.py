@@ -7,16 +7,15 @@ its class is the multiplicity vector of the values it contains.  Both are
 represented as plain int tuples; the array kernels of tensor_core read the
 per-(k, n) index tables built and cached here.
 
-All counts are validated against the signed 64-bit range so that a silent
-wraparound can never corrupt downstream bilinear forms.
+Integer counts are validated against the signed 64-bit range and the float
+class sizes against the float range, so that a silent wraparound or an
+infinity can never corrupt downstream bilinear forms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def enumerate_exponents(k: int, n: int) -> list[tuple[int, ...]]:
     Graded-lex on a fixed degree reduces to descending lexicographic order,
     so (2,0) precedes (1,1) precedes (0,2).
     """
-    return list(_class_tables(k, n).ids)
+    return [tuple(p) for p in _class_columns(k, n).T.tolist()]
 
 
 def index_to_exponent(indices, n: int) -> tuple[int, ...]:
@@ -96,39 +95,113 @@ def index_to_exponent(indices, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class _ClassTables(NamedTuple):
-    """Tables of the degree-k classes over n variables in graded-lex (= sorted index tuple) order."""
+# A symmetric tensor stores at most CLASS_CAP classes (16 bytes each); the array
+# kernels build exponent tables of at most TABLE_CAP entries (one byte each below order 256).
+CLASS_CAP = 1 << 22
+TABLE_CAP = 1 << 26
 
-    ids: dict  # exponent tuple -> class id, iterating in class order
-    columns: np.ndarray  # (n, m) intp: columns[i, c] is the exponent of x_(i+1) in class c
-    multinomials: np.ndarray  # (m,) float64: the class sizes
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
-def _class_tables(k: int, n: int) -> _ClassTables:
+def _class_count(k: int, n: int) -> int:
     m = sym_dimension(k, n)
-    if m * n > 1 << 22:
-        raise CapacityError(f"order {k} over C^{n} has {m} exponent classes, too many to store")
-    pairs = itertools.combinations_with_replacement(range(n), k)
-    exps = [tuple(idx.count(i) for i in range(n)) for idx in pairs]
-    columns = np.array(exps, dtype=np.intp).T.copy()
-    mult = np.array([multinomial(p) for p in exps], dtype=np.float64)
-    columns.setflags(write=False)
-    mult.setflags(write=False)
-    return _ClassTables({p: c for c, p in enumerate(exps)}, columns, mult)
+    if m > CLASS_CAP:
+        raise CapacityError(f"order {k} over C^{n} has {m} exponent classes, above the cap of {CLASS_CAP}")
+    return m
+
+
+@lru_cache(maxsize=4096)
+def _class_id(p: tuple[int, ...]) -> int:
+    """Graded-lex position of an exponent vector p, without a table: where p leaves degree t
+    after x_(i+1), the C(n-i-2+t, n-i-1) classes that leave less come first."""
+    n, t, c = len(p), sum(p), 0
+    for i, e in enumerate(p[:-1]):
+        t -= e
+        c += math.comb(n - i - 2 + t, n - i - 1)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _id_steps(k: int, n: int) -> list[np.ndarray]:
+    """Row i, entry t: C(n-i-2+t, n-i-1), what _class_id adds for x_(i+1), below the class count."""
+    cum, rows = np.ones(k + 1, dtype=np.int64), []
+    for _ in range(n - 1):
+        cum = np.cumsum(cum)  # applied a times to ones: C(a+t, t), exact
+        rows.append(np.concatenate(([0], cum[:-1])))
+    return rows[::-1]
+
+
+def _exponents(k: int, n: int, ids) -> np.ndarray:
+    """(n, len(ids)) exponent columns of the given graded-lex class ids: _class_id inverted."""
+    out = np.empty((n, len(ids)), dtype=np.min_scalar_type(k))
+    rank, left = np.array(ids, dtype=np.int64), k
+    for i, steps in enumerate(_id_steps(k, n)):
+        t = np.searchsorted(steps, rank, side="right") - 1
+        rank -= steps[t]
+        out[i], left = left - t, t
+    out[-1] = left
+    return out
+
+
+def _class_keys(k: int, n: int, ids: np.ndarray) -> list[tuple[int, ...]]:
+    """Exponent tuples of graded-lex class ids; a few at a time come from a memo, not array calls."""
+    if len(ids) <= 8:
+        return [_class_key(k, n, c) for c in ids.tolist()]
+    return [tuple(p) for p in _exponents(k, n, ids).T.tolist()]
+
+
+@lru_cache(maxsize=4096)
+def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
+    return tuple(_exponents(k, n, [c])[:, 0].tolist())
+
+
+@lru_cache(maxsize=None)
+def _class_columns(k: int, n: int) -> np.ndarray:
+    """(n, m) exponents of every class in graded-lex order: entry [i, c] is the exponent of x_(i+1)."""
+    m = _class_count(k, n)
+    if m * n > TABLE_CAP:
+        raise CapacityError(f"order {k} over C^{n} needs {m * n} table entries, above the cap of {TABLE_CAP}")
+    return _frozen(_exponents(k, n, np.arange(m)))
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(k: int, n: int) -> np.ndarray:
+    """Every class size multinomial(p), correctly rounded: a product of binomials C(p1+...+pi, pi),
+    in float64 while every size is below 2**53 (so exactly) and in Python integers above."""
+    q, r = divmod(k, n)
+    largest = math.lgamma(k + 1) - r * math.lgamma(q + 2) - (n - r) * math.lgamma(q + 1)
+    if largest > 709:  # the balanced class; the float maximum is e**709.78
+        raise ArithmeticOverflowError(f"class sizes of order {k} over C^{n} exceed the float range")
+    dtype = object if largest > 36 else np.float64  # e**36 < 2**53
+    columns = _class_columns(k, n)
+    sizes, total = np.ones(columns.shape[1], dtype=dtype), columns[0].astype(np.intp)
+    if n > 1:  # C(p1, p1) = 1, so a single variable needs no table
+        binom = np.array([[math.comb(s, e) for e in range(k + 1)] for s in range(k + 1)], dtype=dtype)
+        for col in columns[1:]:
+            total += col
+            sizes *= binom[total, col]
+    return _frozen(sizes.astype(np.float64))
 
 
 @lru_cache(maxsize=8)
 def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Class id of every dense entry, row-major, and the flat index of each class's canonical entry.
 
-    A class's canonical entry is its sorted index tuple; read as base-n numbers
-    these ascend in graded-lex order, so np.unique numbers classes in storage order.
-    """
-    idx = np.indices((n,) * k, dtype=np.min_scalar_type(n - 1)).reshape(k, -1)
-    idx.sort(axis=0)
-    canon, ids = np.unique(np.ravel_multi_index(idx, (n,) * k), return_inverse=True)
-    ids = ids.astype(np.min_scalar_type(len(canon) - 1))
-    ids.setflags(write=False)
-    canon.setflags(write=False)
-    return ids, canon
+    A sorted index tuple i_1 <= ... <= i_k shifted to c_j = i_j + j is a k-subset of n+k-1 values;
+    its lexicographic rank m - 1 - sum_j C(n+k-2-c_j, k-j) is the class id.  Built in blocks of
+    entries so the scratch stays small; a class's canonical entry is the one already sorted."""
+    m, total = _class_count(k, n), n**k
+    binom = np.array([[math.comb(s, j) for j in range(k + 1)] for s in range(n + k - 1)], dtype=np.int64)
+    ids, canon = np.empty(total, dtype=np.min_scalar_type(m - 1)), np.empty(m, dtype=np.intp)
+    j = np.arange(k)[:, None]
+    for start in range(0, total, 1 << 14):
+        flat = np.arange(start, min(start + (1 << 14), total))
+        idx = np.array(np.unravel_index(flat, (n,) * k))
+        ids[flat] = cls = m - 1 - binom[n + k - 2 - j - np.sort(idx, axis=0), k - j].sum(axis=0)
+        sorted_ = (np.diff(idx, axis=0) >= 0).all(axis=0)
+        canon[cls[sorted_]] = flat[sorted_]
+    return _frozen(ids), _frozen(canon)

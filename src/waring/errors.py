@@ -2,7 +2,7 @@
 
 
 class ArithmeticOverflowError(OverflowError):
-    """A combinatorial count does not fit in a signed 64-bit integer."""
+    """A combinatorial count does not fit the signed 64-bit or the float range it is needed in."""
 
 
 class ValidationError(ValueError):
@@ -23,7 +23,7 @@ class SymmetryError(ValidationError):
 
 
 class CapacityError(ValidationError):
-    """Materializing a dense tensor would exceed the configured entry cap."""
+    """A dense tensor, a class vector or an index table would exceed its size cap."""
 
 
 class UnsupportedOrderError(ValidationError):

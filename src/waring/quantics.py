@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_tables, multinomial
+from .combinatorics import _class_sizes, multinomial
 from .errors import ValidationError
 from .tensor_core import SymmetricTensor, _monomials, outer_power
 
@@ -27,16 +27,23 @@ class Quantic:
     A view on the SymmetricTensor of the same data: quantic_to_tensor returns it.
     """
 
-    __slots__ = ("degree", "nvars", "_tensor")
+    __slots__ = ("_tensor",)
 
     def __init__(self, degree: int, nvars: int, terms):
         if degree < 1:
             raise ValidationError("a quantic needs degree >= 1")
         if nvars < 1:
             raise ValidationError("a quantic needs at least one variable")
-        self.degree = degree
-        self.nvars = nvars
         self._tensor = SymmetricTensor(degree, nvars, terms)
+
+    @classmethod
+    def _of(cls, tensor: SymmetricTensor) -> Quantic:
+        self = object.__new__(cls)
+        self._tensor = tensor
+        return self
+
+    degree = property(lambda self: self._tensor.order)
+    nvars = property(lambda self: self._tensor.dim)
 
     @property
     def terms(self) -> dict[tuple[int, ...], complex]:
@@ -60,9 +67,7 @@ class LinearForm:
 
 def tensor_to_quantic(A: SymmetricTensor) -> Quantic:
     """Identity on stored data: the class entry a_p is the scaled coefficient."""
-    F = object.__new__(Quantic)
-    F.degree, F.nvars, F._tensor = A.order, A.dim, A
-    return F
+    return Quantic._of(A)
 
 
 def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
@@ -75,7 +80,7 @@ def evaluate(F: Quantic, x) -> complex:
     point = np.array([complex(c) for c in x], dtype=np.complex128)
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
-    weighted = _class_tables(F.degree, F.nvars).multinomials * F._tensor._vector
+    weighted = _class_sizes(F.degree, F.nvars) * F._tensor._vector
     return complex(weighted @ _monomials(point[None, :], F.degree)[0])
 
 
@@ -85,7 +90,7 @@ def apolar_form(F: Quantic, G: Quantic) -> complex:
         raise ValidationError(
             f"apolar form needs matching shapes: ({F.degree}, {F.nvars}) vs ({G.degree}, {G.nvars})"
         )
-    weighted = _class_tables(F.degree, F.nvars).multinomials * F._tensor._vector
+    weighted = _class_sizes(F.degree, F.nvars) * F._tensor._vector
     return complex(weighted @ G._tensor._vector)
 
 

@@ -6,9 +6,9 @@ value per exponent class p: the common entry a_j shared by every index tuple
 j whose multiplicity vector is p.  The compressed form is canonical; dense
 arrays are materialized on demand under a configurable entry cap.
 
-The classes live in one read-only graded-lex vector, which a Quantic of the
-same data shares.  Kernels are array operations over index tables cached per
-(k, n); only the dense conversions build the class id of every dense entry.
+One read-only graded-lex class vector is shared with a Quantic of the same data;
+class positions come from exponents by arithmetic, kernels run over exponent tables
+cached per (k, n), and only the dense conversions map every dense entry to its class.
 Both containers are immutable after construction and reject non-finite values.
 """
 
@@ -19,7 +19,9 @@ import math
 
 import numpy as np
 
-from .combinatorics import _class_tables, _dense_tables, as_exponent
+from .combinatorics import (
+    _class_columns, _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, as_exponent,
+)
 from .errors import CapacityError, SymmetryError, ValidationError
 
 DENSE_ENTRY_CAP = 10_000_000
@@ -30,8 +32,7 @@ DEFAULT_RANK_TOL = 1e-10
 def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 class DenseTensor:
@@ -70,8 +71,7 @@ class SymmetricTensor:
             raise ValidationError("a symmetric tensor needs order >= 1")
         if dim < 1:
             raise ValidationError("a symmetric tensor needs dimension >= 1")
-        ids = _class_tables(order, dim).ids
-        vec = np.zeros(len(ids), dtype=np.complex128)
+        vec = np.zeros(_class_count(order, dim), dtype=np.complex128)
         for p, v in dict(coeffs).items():
             key = as_exponent(p)
             if len(key) != dim:
@@ -80,7 +80,7 @@ class SymmetricTensor:
                 raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
             value = complex(v)
             if value != 0:
-                vec[ids[key]] = value
+                vec[_class_id(key)] = value
         self.order, self.dim, self._vector = order, dim, _frozen_finite(vec, "coefficients")
 
     @classmethod
@@ -93,8 +93,8 @@ class SymmetricTensor:
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
-        ids = _class_tables(self.order, self.dim).ids
-        return {p: v for p, v in zip(ids, self._vector.tolist()) if v}
+        nz = np.flatnonzero(self._vector)
+        return dict(zip(_class_keys(self.order, self.dim, nz), self._vector[nz].tolist()))
 
     def __repr__(self):
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={len(self.coeffs)})"
@@ -134,7 +134,7 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
     sums = np.empty(len(canon), dtype=np.complex128)
     sums.real = np.bincount(ids, weights=flat.real, minlength=len(canon))
     sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(canon))
-    means = sums / _class_tables(A.order, A.dim).multinomials
+    means = sums / _class_sizes(A.order, A.dim)
     return DenseTensor(means[ids].reshape(A.array.shape))
 
 
@@ -168,7 +168,7 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
 
 def _monomials(points: np.ndarray, k: int) -> np.ndarray:
     """Row r, column c: prod_i points[r, i] ** p_i for the class p of column c (graded-lex)."""
-    columns = _class_tables(k, points.shape[1]).columns
+    columns = _class_columns(k, points.shape[1])
     powers = points[:, :, None] ** np.arange(k + 1)
     out = powers[:, 0, columns[0]]
     for i in range(1, len(columns)):
@@ -245,7 +245,7 @@ def coefficient_vector(S: SymmetricTensor, scaled: bool = True) -> np.ndarray:
     """
     if not scaled:
         return S._vector.copy()
-    return S._vector * np.sqrt(_class_tables(S.order, S.dim).multinomials)
+    return S._vector * np.sqrt(_class_sizes(S.order, S.dim))
 
 
 def power_span_rank(vectors, k: int, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -275,7 +275,7 @@ def _class_norm(order: int, dim: int, vec: np.ndarray) -> float:
         return top
     scale = math.ldexp(1.0, math.frexp(top)[1] - 1)  # top / scale lies in [1, 2)
     w /= scale
-    return scale * math.sqrt(_class_tables(order, dim).multinomials @ (w * w))
+    return scale * math.sqrt(_class_sizes(order, dim) @ (w * w))
 
 
 def frobenius_norm(A: SymmetricTensor) -> float:

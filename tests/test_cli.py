@@ -322,3 +322,14 @@ def test_asymmetric_input_to_to_poly_exit_2(capsys):
     code, _, err = run(capsys, "to-poly", "--in", str(FIXTURES / "dense_asym222.json"))
     assert code == 2
     assert "symmet" in err.lower()
+
+
+@pytest.mark.parametrize("text", ["x1^70", "x1^1000000*x2", "-2*x7^2 + x1*x300"])
+def test_poly_round_trip_for_high_orders_and_wide_forms(capsys, tmp_path, text):
+    # class sizes past the int64 range (C(70, 35)), a million-and-one classes,
+    # and a 300-variable quadratic: none needs an exponent table to pass through
+    poly = tmp_path / "form.txt"
+    poly.write_text(text + "\n")
+    sym = tmp_path / "form.json"
+    assert run(capsys, "from-poly", "--in", str(poly), "--out", str(sym))[0] == 0
+    assert run(capsys, "to-poly", "--in", str(sym)) == (0, text + "\n", "")

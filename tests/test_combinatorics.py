@@ -94,12 +94,13 @@ def test_exponent_validation():
 
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12)])
 def test_dense_tables_number_classes_in_storage_order(k, n):
-    from waring.combinatorics import _class_tables, _dense_tables
+    from waring.combinatorics import _class_id, _dense_tables, _exponents
 
     ids, canon = _dense_tables(k, n)
     exps = enumerate_exponents(k, n)
     assert ids.dtype == (np.uint8 if len(exps) <= 256 else np.uint16)
-    assert list(_class_tables(k, n).ids) == exps
+    assert [_class_id(p) for p in exps] == list(range(len(exps)))
+    assert [tuple(p) for p in _exponents(k, n, [len(exps) - 1, 0]).T.tolist()] == [exps[-1], exps[0]]
     for flat, cls in zip(range(n**k), ids):
         assert index_to_exponent([i + 1 for i in np.unravel_index(flat, (n,) * k)], n) == exps[cls]
     for cls, flat in enumerate(canon):
@@ -107,12 +108,52 @@ def test_dense_tables_number_classes_in_storage_order(k, n):
         assert list(idx) == sorted(idx) and ids[flat] == cls
 
 
-def test_class_tables_refuse_shapes_too_large_to_store():
+def test_caps_bound_the_class_vector_and_the_exponent_table():
+    from waring.combinatorics import CLASS_CAP, TABLE_CAP
     from waring.errors import CapacityError
     from waring.tensor_core import SymmetricTensor
 
-    with pytest.raises(CapacityError):
-        SymmetricTensor(30, 30, {})
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="exponent classes"):
+        SymmetricTensor(30, 30, {})  # C(59, 30) classes
+    with pytest.raises(CapacityError, match="exponent classes"):
         enumerate_exponents(3, 2000)
+    assert math.comb(2 + 1999, 2) <= CLASS_CAP < math.comb(2 + 2999, 2)
+    wide = SymmetricTensor(2, 2000, {(1,) + (0,) * 1998 + (1,): 2.0})  # built without a table
+    assert wide.coeffs == {(1,) + (0,) * 1998 + (1,): 2.0}
+    assert 2000 * math.comb(2001, 2) > TABLE_CAP
+    with pytest.raises(CapacityError, match="table entries"):
+        enumerate_exponents(2, 2000)
     assert len(enumerate_exponents(1, 1100)) == 1100  # wide shapes enumerate without recursion
+
+
+def test_class_sizes_are_correctly_rounded_past_the_int64_range():
+    from waring.combinatorics import _class_sizes
+    from waring.errors import ArithmeticOverflowError
+
+    assert _class_sizes(70, 2).tolist() == [float(math.comb(70, j)) for j in range(71)]
+    assert _class_sizes(4, 3).tolist() == [float(multinomial(p)) for p in enumerate_exponents(4, 3)]
+    assert _class_sizes(10**6, 1).tolist() == [1.0]
+    with pytest.raises(ArithmeticOverflowError):
+        _class_sizes(1100, 2)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (7, 1), (5, 2), (3, 4), (2, 9), (4, 6)])
+def test_class_id_and_exponents_invert_each_other(k, n):
+    from waring.combinatorics import _class_id, _class_keys, _exponents
+
+    exps = enumerate_exponents(k, n)
+    ids = np.arange(len(exps))
+    assert [tuple(p) for p in _exponents(k, n, ids).T.tolist()] == exps
+    assert [_class_id(p) for p in exps] == ids.tolist()
+    assert _class_keys(k, n, ids[-3:]) == exps[-3:]  # the memo path
+    assert _class_keys(k, n, ids) == exps  # the array path
+
+
+def test_class_ids_of_wide_and_tall_shapes_need_no_table():
+    from waring.combinatorics import _class_id, _class_keys
+
+    wide = (0,) * 150 + (1,) + (0,) * 148 + (1,)  # x151*x300 among the 45150 quadratics
+    assert _class_keys(2, 300, np.array([_class_id(wide)])) == [wide]
+    assert _class_id((1, 0) + (0,) * 298) == 0 and _class_id((0,) * 299 + (2,)) == math.comb(301, 2) - 1
+    assert _class_id((10**6, 1)) == 1
+    assert _class_keys(10**6 + 1, 2, np.array([1, 10**6 + 1])) == [(10**6, 1), (0, 10**6 + 1)]

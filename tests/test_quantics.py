@@ -199,3 +199,15 @@ def test_render_parse_round_trip_keeps_the_printed_digits(k, n, data):
     assert back.terms.keys() == f.terms.keys()
     for p, a in f.terms.items():
         assert abs(back.terms[p] - a) <= 1e-11 * abs(a)
+
+
+def test_wide_quadratic_evaluates_and_pairs_like_its_terms():
+    # 300 variables, 45150 classes: the class vector and the kernels' tables stay within their caps
+    F = parse_quantic("x1*x300 + 2*x5^2 - 0.5j*x2*x3")
+    assert (F.degree, F.nvars) == (2, 300)
+    point = np.linspace(-1.0, 2.0, 300)
+    expected = point[0] * point[299] + 2 * point[4] ** 2 - 0.5j * point[1] * point[2]
+    assert abs(evaluate(F, point) - expected) < 1e-12
+    # <F, F> = sum_p multinomial(p) a_p^2 with a_p the stored (halved off-diagonal) coefficients
+    assert abs(apolar_form(F, F) - (2 * 0.5**2 + 2**2 + 2 * (-0.25j) ** 2)) < 1e-12
+    assert render_quantic(F) == "2*x5^2 + (0-0.5j)*x2*x3 + x1*x300"
