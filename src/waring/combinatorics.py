@@ -114,7 +114,7 @@ def _class_count(k: int, n: int) -> int:
     return m
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _class_id(p: tuple[int, ...]) -> int:
     """Graded-lex position of an exponent vector p, without a table: where p leaves degree t
     after x_(i+1), the C(n-i-2+t, n-i-1) classes that leave less come first."""
@@ -154,7 +154,7 @@ def _class_keys(k: int, n: int, ids: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(p) for p in _exponents(k, n, ids).T.tolist()]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
     return tuple(_exponents(k, n, [c])[:, 0].tolist())
 

@@ -124,6 +124,8 @@ def test_caps_bound_the_class_vector_and_the_exponent_table():
     with pytest.raises(CapacityError, match="table entries"):
         enumerate_exponents(2, 2000)
     assert len(enumerate_exponents(1, 1100)) == 1100  # wide shapes enumerate without recursion
+    with pytest.raises(CapacityError, match="exponent classes"):
+        SymmetricTensor(10**7, 2, {(10**7, 0): 1.0})  # refused before anything is allocated
 
 
 def test_class_sizes_are_correctly_rounded_past_the_int64_range():

@@ -30,7 +30,7 @@ from waring.decompose import (
 )
 from waring.errors import DegeneratePencilError, ValidationError
 from waring.quantics import parse_quantic, quantic_to_tensor, render_quantic, tensor_to_quantic
-from waring.tensor_core import SymmetricTensor, frobenius_distance, outer_power, power_span_rank
+from waring.tensor_core import SymmetricTensor, frobenius_distance, frobenius_norm, outer_power, power_span_rank
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -467,3 +467,10 @@ def test_a41_moments_match_the_closed_form():
     for t in range(6):
         total = sum(w * b**t for w, b in nodes)
         assert total == (1 - (-1) ** t) * (8 - 2**t)
+
+
+def test_monomial_tensor_past_the_int64_class_sizes():
+    # class sizes of order 70 reach C(70, 35) > 2^63; they are floats now, not int64 counts
+    A = binary_monomial_tensor(70)
+    assert math.isclose(frobenius_norm(A), math.sqrt(70) / 70, rel_tol=1e-15)
+    assert len(decompose_monomial_rank_k(70).terms) == 70
