@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,8 +90,8 @@ def _load_symmetric(path: str, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTe
     return t if isinstance(t, SymmetricTensor) else compress(t, tol)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, separators=(",", ":")) + "\n"
+def _emit_json(obj, out: str | None = None) -> None:
+    text = json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -108,8 +109,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    report = rank_report(args.order, args.dim)
-    print(json.dumps(dataclasses.asdict(report), separators=(",", ":")))
+    _emit_json(dataclasses.asdict(rank_report(args.order, args.dim)))
     return 0
 
 
@@ -192,12 +192,8 @@ def _cmd_verify(args) -> int:
     s = _load_symmetric(args.tensor)
     decomposition = decomposition_from_json_obj(_load_json(args.decomp))
     report = verify(decomposition, s, args.tol)
-    print(
-        json.dumps(
-            {"residual": report.residual, "ok": report.ok, "stated_rank": report.stated_rank},
-            separators=(",", ":"),
-        )
-    )
+    residual = report.residual if math.isfinite(report.residual) else None
+    _emit_json({"residual": residual, "ok": report.ok, "stated_rank": report.stated_rank})
     return 0 if report.ok else 1
 
 

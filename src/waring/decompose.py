@@ -55,9 +55,9 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
     """Normalize, validate, and deterministically order decomposition terms.
 
     Each vector is scaled so its first nonzero component is 1, the k-th power
-    of the scale moving into the weight.  field_tag None auto-detects: R when
-    every weight and component has imaginary part at most 1e-12 in magnitude,
-    C otherwise.  field_tag "R" additionally casts those parts to zero.
+    of the scale moving into the weight; a non-finite result is rejected.
+    field_tag None auto-detects: R when every weight and component has an
+    imaginary part at most 1e-12, C otherwise; "R" also zeroes those parts.
     """
     if order < 1:
         raise ValidationError("a decomposition needs order >= 1")
@@ -71,9 +71,14 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
         pivot = next((c for c in v if c != 0), None)
         if pivot is None:
             raise ValidationError("decomposition vectors must be nonzero")
-        normalized.append((complex(weight) * pivot**order, tuple(c / pivot for c in v)))
+        try:
+            normalized.append((complex(weight) * pivot**order, tuple(c / pivot for c in v)))
+        except OverflowError:  # complex ** raises where float arithmetic gives inf
+            normalized.append((complex(math.inf), v))
 
     flat = [w for w, _ in normalized] + [c for _, v in normalized for c in v]
+    if not all(map(cmath.isfinite, flat)):
+        raise ValidationError("decomposition terms must be finite once each vector leads with 1")
     imag_span = max((abs(x.imag) for x in flat), default=0.0)
     if field_tag is None:
         field_tag = "R" if imag_span <= REAL_FIELD_TOL else "C"
@@ -98,9 +103,11 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
     """Sum of weighted outer powers, in compressed form, added term by term."""
     vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
-    powers = _monomials(vectors, D.order)
-    powers *= np.array([w for w, _ in D.terms], dtype=np.complex128)[:, None]
-    return SymmetricTensor._of(D.order, D.dim, powers.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects a non-finite sum
+        powers = _monomials(vectors, D.order)
+        powers *= np.array([w for w, _ in D.terms], dtype=np.complex128)[:, None]
+        total = powers.sum(axis=0)
+    return SymmetricTensor._of(D.order, D.dim, total)
 
 
 @dataclass(frozen=True)
@@ -196,6 +203,35 @@ def _catalecticant_kernel(m0, m1, m2, m3):
     return m1 * m3 - m2 * m2, m1 * m2 - m0 * m3, m0 * m2 - m1 * m1
 
 
+_PENCIL_CONDITIONS = (
+    "pencil determinant vanishes identically",
+    "pencil determinant is constant in the eigenvalue",
+    "double eigenvalue",
+)
+
+
+def _pencil_rule(a, b, c):
+    """Masks in the order of _PENCIL_CONDITIONS, and the discriminant, of a t^2 + b t + c.
+
+    Scalars or arrays alike; each mask is judged relative to max(|a|, |b|, |c|).
+    """
+    head = np.maximum(abs(a), abs(b))
+    scale = np.maximum(head, abs(c))
+    disc = b * b - 4.0 * a * c
+    tol = PENCIL_DEGENERACY_TOL * scale
+    return (scale == 0.0, head <= tol, abs(disc) <= tol * scale), disc
+
+
+def _scaled_entries(values: list, field: str) -> tuple[list, list]:
+    """values, real parts only over R (checked real), and values over their largest magnitude."""
+    scale = max(abs(v) for v in values)
+    if field == "R":
+        if max(abs(v.imag) for v in values) > REAL_FIELD_TOL * (1.0 + scale):
+            raise ValidationError("field R needs a real tensor")
+        values = [v.real for v in values]
+    return values, [v / (scale or 1.0) for v in values]
+
+
 def _require_sym222(A: SymmetricTensor) -> None:
     if (A.order, A.dim) != (3, 2):
         raise ValidationError(
@@ -228,21 +264,12 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     _require_sym222(A)
     if field not in ("R", "C"):
         raise ValidationError("field must be 'R' or 'C'")
-    m = _moments(A)
-    entry_scale = max(abs(v) for v in m)
-    if field == "R":
-        if max(abs(v.imag) for v in m) > REAL_FIELD_TOL * (1.0 + entry_scale):
-            raise ValidationError("field R needs a real tensor")
-        m = [v.real for v in m]
-    a, b, c = _catalecticant_kernel(*(v / (entry_scale or 1.0) for v in m))
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        raise DegeneratePencilError("pencil determinant vanishes identically")
-    if max(abs(a), abs(b)) <= PENCIL_DEGENERACY_TOL * scale:
-        raise DegeneratePencilError("pencil determinant is constant in the eigenvalue")
-    disc = b * b - 4 * a * c
-    if abs(disc) <= PENCIL_DEGENERACY_TOL * scale**2:
-        raise DegeneratePencilError("double eigenvalue")
+    m, unit = _scaled_entries(_moments(A), field)
+    a, b, c = _catalecticant_kernel(*unit)
+    masks, disc = _pencil_rule(a, b, c)
+    for condition, hit in zip(_PENCIL_CONDITIONS, masks):
+        if hit:
+            raise DegeneratePencilError(condition)
     if field == "R" and disc < 0:
         return PencilResult("real_rank_3", _real_rank3_decomposition(A, m))
     sq = cmath.sqrt(disc)

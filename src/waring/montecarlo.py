@@ -6,6 +6,11 @@ each by the sign of the slice-pencil discriminant estimates the two
 probabilities.  The symmetric case draws one standard normal per exponent
 class; the unstructured case draws eight, one per entry.
 
+The rule is decompose_sym222_pencil's: a pencil quadratic that vanishes, is
+constant in t, or has a double root, relative to its largest coefficient, is
+degenerate.  The classifiers first divide by the largest entry, as the
+decomposer does, so classify_sym222 names the branch it takes over R.
+
 The random stream is reproducible by construction.  Draws come from a
 counter-based Philox generator, trial t consuming exactly the uniform block
 [t*m, (t+1)*m) where m is 4 for sym222 and 8 for asym222, and normals are
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .decompose import PENCIL_DEGENERACY_TOL, pencil_quadratic
+from .decompose import _catalecticant_kernel, _moments, _pencil_rule, _require_sym222, _scaled_entries
 from .errors import ValidationError
 from .tensor_core import DenseTensor, SymmetricTensor
 
@@ -70,146 +75,113 @@ def _gaussians(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _validate_seed(seed: int) -> None:
-    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-        raise ValidationError("seed must be an integer in [0, 2**128)")
+def _stream(case: str, seed: int, lo: int, hi: int):
+    """Normals of trials [lo, hi), one row per trial, CHUNK rows at a time.
 
-
-def _trial_gaussians(case: str, seed: int, index: int) -> np.ndarray:
+    Not a generator function, so the arguments are checked at the call.
+    """
     if case not in UNIFORMS_PER_TRIAL:
         raise ValidationError(f"case must be one of {sorted(UNIFORMS_PER_TRIAL)}")
-    _validate_seed(seed)
-    if index < 0:
+    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
+        raise ValidationError("seed must be an integer in [0, 2**128)")
+    if lo < 0:
         raise ValidationError("trial index must be >= 0")
     m = UNIFORMS_PER_TRIAL[case]
     bg = Philox(key=seed)
-    bg.advance(index * m // 4)
-    u = Generator(bg).random(m)
-    return _gaussians(u.reshape(1, m))[0]
+    # advance counts counter ticks of four 64-bit words; lo*m is a multiple of 4
+    bg.advance(lo * m // 4)
+    gen = Generator(bg)
+    return (_gaussians(gen.random((min(CHUNK, hi - t), m))) for t in range(lo, hi, CHUNK))
 
 
 def sample_sym222(seed: int, index: int) -> SymmetricTensor:
     """Trial `index` of the sym222 stream: one normal per exponent class."""
-    z = _trial_gaussians("sym222", seed, index)
+    z = next(_stream("sym222", seed, index, index + 1))[0]
     return SymmetricTensor._of(3, 2, z.astype(np.complex128))
 
 
 def sample_asym222(seed: int, index: int) -> DenseTensor:
     """Trial `index` of the asym222 stream: eight normals in row-major order."""
-    z = _trial_gaussians("asym222", seed, index)
+    z = next(_stream("asym222", seed, index, index + 1))[0]
     return DenseTensor(z.reshape(2, 2, 2))
 
 
-def _discriminant_rule(a, b, c):
-    """(degenerate, discriminant) of a t^2 + b t + c, scalars or arrays; disc > 0 is rank 2."""
-    scale = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c)))
-    disc = b * b - 4.0 * a * c
-    deg = (scale == 0.0) | (np.abs(disc) <= PENCIL_DEGENERACY_TOL * scale * scale)
-    return deg, disc
-
-
-def _classify_quadratic(a: float, b: float, c: float) -> str:
-    deg, disc = _discriminant_rule(a, b, c)
-    return "degenerate" if deg else "rank_2" if disc > 0 else "rank_3"
-
-
-def _require_real(values, what: str) -> None:
-    scale = max((abs(v) for v in values), default=0.0)
-    worst = max((abs(v.imag) for v in values), default=0.0)
-    if worst > 1e-12 * (1.0 + scale):
-        raise ValidationError(f"{what} must be real")
-
-
-def classify_sym222(A: SymmetricTensor) -> str:
-    """rank_2, rank_3, or degenerate for a real symmetric 2x2x2 tensor.
-
-    Real distinct pencil eigenvalues (positive discriminant) give two real
-    powers of linear forms; a conjugate pair forces a third term.
-    """
-    if (A.order, A.dim) != (3, 2):
-        raise ValidationError(f"expected order 3 dimension 2, got ({A.order}, {A.dim})")
-    _require_real(A.coeffs.values(), "tensor entries")
-    a, b, c = pencil_quadratic(A)
-    return _classify_quadratic(a.real, b.real, c.real)
-
-
-def classify_asym222(T: DenseTensor) -> str:
-    """rank_2, rank_3, or degenerate for a real unstructured 2x2x2 tensor.
-
-    Uses det(T0 + t*T1) for the two first-index slices; the sign of its
-    discriminant separates the two typical ranks.
-    """
-    if T.array.shape != (2, 2, 2):
-        raise ValidationError(f"expected shape (2, 2, 2), got {T.array.shape}")
-    _require_real(T.array.ravel().tolist(), "tensor entries")
-    s0 = T.array[0].real
-    s1 = T.array[1].real
-    a = float(np.linalg.det(s1))
-    c = float(np.linalg.det(s0))
-    b = float(np.linalg.det(s0 + s1)) - a - c
-    return _classify_quadratic(a, b, c)
+_LABELS = ("rank_2", "rank_3", "degenerate")
 
 
 def _det2(s: np.ndarray) -> np.ndarray:
     return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
 
 
-def _run_block(case: str, seed: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """Classify trials [lo, hi) of the stream; returns (rank2, rank3, degenerate)."""
-    m = UNIFORMS_PER_TRIAL[case]
-    bg = Philox(key=seed)
-    # advance counts counter ticks of four 64-bit words; lo*m is a multiple of 4
-    bg.advance(lo * m // 4)
-    gen = Generator(bg)
-    rank2 = rank3 = degenerate = 0
-    t = lo
-    while t < hi:
-        cnt = min(CHUNK, hi - t)
-        z = _gaussians(gen.random((cnt, m)))
-        if case == "sym222":
-            g0, g1, g2, g3 = (z[:, i] for i in range(4))
-            a = g1 * g3 - g2 * g2
-            b = g1 * g2 - g0 * g3
-            c = g0 * g2 - g1 * g1
-        else:
-            slices = z.reshape(cnt, 2, 2, 2)
-            a = _det2(slices[:, 1])
-            c = _det2(slices[:, 0])
-            b = _det2(slices[:, 0] + slices[:, 1]) - a - c
-        deg, disc = _discriminant_rule(a, b, c)
-        degenerate += int(deg.sum())
-        live = ~deg
-        rank2 += int((live & (disc > 0)).sum())
-        rank3 += int((live & (disc < 0)).sum())
-        t += cnt
-    return rank2, rank3, degenerate
+def _label_masks(case: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the rows of z, one trial each, in the order of _LABELS.
+
+    The pencil quadratic is the catalecticant kernel for sym222, det(T0 + t*T1) for asym222.
+    """
+    if case == "sym222":
+        a, b, c = _catalecticant_kernel(*z.T)
+    else:
+        slices = z.reshape(-1, 2, 2, 2)
+        a = _det2(slices[:, 1])
+        c = _det2(slices[:, 0])
+        b = _det2(slices[:, 0] + slices[:, 1]) - a - c
+    (vanishes, constant, double), disc = _pencil_rule(a, b, c)
+    degenerate = vanishes | constant | double
+    live = ~degenerate
+    return live & (disc > 0), live & (disc < 0), degenerate
+
+
+def _classify(case: str, values: list) -> str:
+    _, unit = _scaled_entries(values, "R")
+    masks = _label_masks(case, np.array([unit]))
+    return next(label for label, mask in zip(_LABELS, masks) if mask[0])
+
+
+def classify_sym222(A: SymmetricTensor) -> str:
+    """rank_2, rank_3, or degenerate for a real symmetric 2x2x2 tensor.
+
+    Real distinct pencil eigenvalues (positive discriminant) give two real
+    powers of linear forms; a conjugate pair forces a third.  The label names
+    the branch of decompose_sym222_pencil over R: rank_2, real_rank_3 or an error.
+    """
+    _require_sym222(A)
+    return _classify("sym222", _moments(A))
+
+
+def classify_asym222(T: DenseTensor) -> str:
+    """rank_2, rank_3, or degenerate for a real unstructured 2x2x2 tensor.
+
+    Uses det(T0 + t*T1) for the two first-index slices, entries divided by
+    the largest magnitude first; the sign of its discriminant separates the
+    two typical ranks.
+    """
+    if T.array.shape != (2, 2, 2):
+        raise ValidationError(f"expected shape (2, 2, 2), got {T.array.shape}")
+    return _classify("asym222", T.array.ravel().tolist())
+
+
+def _run_block(case: str, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Classify trials [lo, hi) of the stream; returns counts of (rank2, rank3, degenerate)."""
+    counts = np.zeros(3, dtype=np.int64)
+    for z in _stream(case, seed, lo, hi):
+        counts += [mask.sum() for mask in _label_masks(case, z)]
+    return counts
 
 
 def typical_rank_experiment(case: str, samples: int, seed: int, workers: int = 1) -> TrialStats:
     """Classify `samples` gaussian draws; counts are worker-count invariant.
 
-    The trial range splits into `workers` contiguous blocks, each consuming
-    its own slice of the counter-based stream, so any worker count yields
-    identical counts for a given (case, samples, seed).
+    The trial range splits into min(workers, samples) contiguous blocks, each
+    consuming its own slice of the counter-based stream, so any worker count
+    yields identical counts for a given (case, samples, seed).
     """
-    if case not in UNIFORMS_PER_TRIAL:
-        raise ValidationError(f"case must be one of {sorted(UNIFORMS_PER_TRIAL)}")
-    _validate_seed(seed)
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    rank2 = rank3 = degenerate = 0
-    for i in range(workers):
-        lo = samples * i // workers
-        hi = samples * (i + 1) // workers
-        if lo == hi:
-            continue
-        r2, r3, dg = _run_block(case, seed, lo, hi)
-        rank2 += r2
-        rank3 += r3
-        degenerate += dg
-    return TrialStats(case, samples, seed, rank2, rank3, degenerate)
+    n = min(workers, samples)  # an empty block would still seed a generator
+    counts = sum(_run_block(case, seed, samples * i // n, samples * (i + 1) // n) for i in range(n))
+    return TrialStats(case, samples, seed, *counts.tolist())
 
 
 def stats_to_csv(stats: TrialStats) -> str:

@@ -183,7 +183,9 @@ def outer_power(v, k: int) -> SymmetricTensor:
     vec = np.array([complex(c) for c in v], dtype=np.complex128)
     if len(vec) < 1:
         raise ValidationError("outer power needs a nonempty vector")
-    return SymmetricTensor._of(k, len(vec), _monomials(vec[None, :], k)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects non-finite powers
+        powers = _monomials(vec[None, :], k)[0]
+    return SymmetricTensor._of(k, len(vec), powers)
 
 
 def contract_mode1(A: DenseTensor, B: DenseTensor):
@@ -289,7 +291,9 @@ def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
         raise ValidationError(
             f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})"
         )
-    return _class_norm(A.order, A.dim, A._vector - B._vector)
+    with np.errstate(over="ignore"):  # an overflowing difference gives an infinite distance
+        diff = A._vector - B._vector
+    return _class_norm(A.order, A.dim, diff)
 
 
 def _complex_pair(value: complex) -> list[float]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from waring.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 TABLE_GENERIC = """\
 generic symmetric rank (k down, n across; * marks exceptional pairs)
@@ -224,6 +228,62 @@ def test_verify_fixture_pair_exact(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"residual": 0.0, "ok": True, "stated_rank": 4}
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def write_cubic(path, value):
+    """A sym JSON holding value * x1^3."""
+    path.write_text(json.dumps({
+        "format": "sym", "order": 3, "dim": 2,
+        "coeffs": [{"exponent": [3, 0], "value": [value, 0.0]}],
+    }))
+    return str(path)
+
+
+def write_decomposition(path, weight, vector):
+    path.write_text(json.dumps({
+        "order": 3, "dim": 2, "field": "R",
+        "terms": [{"weight": [weight, 0.0], "vector": [[c, 0.0] for c in vector]}],
+    }))
+    return str(path)
+
+
+def test_verify_overflowing_residual_is_null_and_exit_1(capsys, tmp_path):
+    # 1.5e308 - (-1.5e308) overflows, so the residual is infinite
+    tensor = write_cubic(tmp_path / "t.json", 1.5e308)
+    decomp = write_decomposition(tmp_path / "d.json", -1.5e308, [1.0, 0.0])
+    code, out, err = run(capsys, "verify", "--tensor", tensor, "--decomp", decomp)
+    assert (code, err) == (1, "")
+    assert strict_json(out) == {"residual": None, "ok": False, "stated_rank": 1}
+
+
+@pytest.mark.parametrize("weight, vector", [(1.0, [1e200, 0.0]), (1e300, [1e3, 0.0])])
+def test_verify_rejects_a_term_that_overflows_when_normalized_exit_2(capsys, tmp_path, weight, vector):
+    tensor = write_cubic(tmp_path / "t.json", 1.0)
+    decomp = write_decomposition(tmp_path / "d.json", weight, vector)
+    code, out, err = run(capsys, "verify", "--tensor", tensor, "--decomp", decomp)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "terms must be finite" in err
+
+
+def test_verify_overflowing_outer_power_writes_one_error_line(tmp_path):
+    # a separate process, because numpy reports overflow through the warnings module
+    tensor = write_cubic(tmp_path / "t.json", 1.0)
+    decomp = write_decomposition(tmp_path / "d.json", 1.0, [1.0, 1e200])
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "waring.cli", "verify", "--tensor", tensor, "--decomp", decomp],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def test_verify_failure_exit_1(capsys, tmp_path):

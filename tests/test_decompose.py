@@ -74,6 +74,19 @@ def test_make_decomposition_rejects_zero_vector():
         make_decomposition(2, 2, [(1.0, (0.0, 0.0))])
 
 
+@pytest.mark.parametrize(
+    "weight, vector",
+    [
+        (1.0, (1e200, 0.0)),  # the pivot's cube overflows: complex ** raises OverflowError
+        (1e300, (1e3, 0.0)),  # the weight times the pivot's cube overflows to inf
+        (1.0, (1e-300, 1e10)),  # dividing by the pivot overflows
+    ],
+)
+def test_make_decomposition_rejects_terms_that_overflow_when_normalized(weight, vector):
+    with pytest.raises(ValidationError, match="terms must be finite"):
+        make_decomposition(3, 2, [(weight, vector)])
+
+
 def test_reconstruct_single_power():
     v = (1.0, -2.0)
     d = make_decomposition(3, 2, [(1.0, v)])

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from waring.errors import ValidationError
+from waring.decompose import decompose_sym222_pencil
+from waring.errors import DegeneratePencilError, ValidationError
 from waring.montecarlo import (
     TrialStats,
     classify_asym222,
@@ -16,6 +18,7 @@ from waring.montecarlo import (
     stats_to_csv,
     typical_rank_experiment,
 )
+from waring.quantics import parse_quantic, quantic_to_tensor
 from waring.tensor_core import DenseTensor, SymmetricTensor
 
 
@@ -167,3 +170,60 @@ def test_experiment_validates_arguments():
 def test_more_workers_than_samples():
     base = typical_rank_experiment("sym222", 3, 11, workers=1)
     assert typical_rank_experiment("sym222", 3, 11, workers=10) == base
+
+
+PENCIL_CONDITIONS = {
+    "pencil determinant vanishes identically",
+    "pencil determinant is constant in the eigenvalue",
+    "double eigenvalue",
+}
+
+
+def decomposer_label(a):
+    """The classify_sym222 label matching the branch decompose_sym222_pencil(a, "R") takes."""
+    try:
+        result = decompose_sym222_pencil(a, "R")
+    except DegeneratePencilError as exc:
+        return "degenerate" if exc.condition in PENCIL_CONDITIONS else exc.condition
+    return {"rank_2": "rank_2", "real_rank_3": "rank_3"}[result.classification]
+
+
+def test_classify_sym222_takes_the_decomposer_branch():
+    # moments scaled by 10^-150..10^150, where the raw pencil arithmetic over- or
+    # underflows, and every third cubic in the band where the pencil is nearly
+    # constant in t: |a|, |b| ~ 1e-13.5..1e-11 times |c|, across the 1e-12 tolerance
+    rng = np.random.default_rng(2024)
+    labels = []
+    for i in range(900):
+        m = rng.normal(size=4)
+        if i % 3 == 0:
+            eps = 10.0 ** rng.uniform(-13.5, -11.0)
+            m *= [1.0, eps, eps, eps * eps]
+        m *= 10.0 ** rng.uniform(-150.0, 150.0)
+        a = SymmetricTensor(3, 2, dict(zip(((3, 0), (2, 1), (1, 2), (0, 3)), m.tolist())))
+        label = classify_sym222(a)
+        assert label == decomposer_label(a), m.tolist()
+        labels.append(label)
+    assert min(labels.count(label) for label in ("rank_2", "rank_3", "degenerate")) > 50
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        # the raw pencil arithmetic overflows; the decomposer normalizes first
+        ("1e160*x1^3 + 1e160*x2^3", "rank_2"),
+        # |a| = 2.5e-25 within 1e-12 * |c| = 5e-25: constant in the eigenvalue
+        ("x1^3 + 1.5e-12*x1*x2^2", "degenerate"),
+    ],
+)
+def test_classify_sym222_agrees_with_the_decomposer_on_scaled_and_constant_pencils(text, label):
+    a = quantic_to_tensor(parse_quantic(text))
+    assert classify_sym222(a) == decomposer_label(a) == label
+
+
+def test_classify_asym222_on_a_huge_diagonal_tensor():
+    diag = np.zeros((2, 2, 2))
+    diag[0, 0, 0] = diag[1, 1, 1] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_asym222(DenseTensor(diag)) == "rank_2"
