@@ -7,14 +7,16 @@ its class is the multiplicity vector of the values it contains.  Both are
 represented as plain int tuples; the array kernels of tensor_core read the
 per-(k, n) index tables built and cached here.
 
-Integer counts are validated against the signed 64-bit range and the float
-class sizes against the float range, so that a silent wraparound or an
-infinity can never corrupt downstream bilinear forms.
+Public integer counts are validated against the signed 64-bit range and the
+class sizes that storage and quantics use against the float range, so that
+a silent wraparound or an infinity can never corrupt downstream bilinear forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -62,12 +64,15 @@ def multinomial(p) -> int:
     every step.
     """
     exps = as_exponent(p)
-    total = 0
-    result = 1
-    for e in exps:
-        total += e
-        result *= math.comb(total, e)
-    return _check_int64(result, f"multinomial({exps})")
+    return _check_int64(_class_size(exps), f"multinomial({exps})")
+
+
+def _class_size(p: tuple[int, ...]) -> int:
+    """multinomial(p) without the int64 limit: exact, checked against the float range only."""
+    size = math.prod(math.comb(total, e) for total, e in zip(itertools.accumulate(p), p))
+    if size > sys.float_info.max:
+        raise ArithmeticOverflowError(f"class size multinomial({p}) exceeds the float range")
+    return size
 
 
 def enumerate_exponents(k: int, n: int) -> list[tuple[int, ...]]:

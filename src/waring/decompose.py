@@ -4,9 +4,9 @@ Binary tensors go through one route, Sylvester's: the nodes are the
 homogeneous roots of a form apolar to the moments m_j = a_(k-j, j), and one
 Vandermonde solve gives the weights.  The apolar form is t^k - 1 for the
 monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors over R
-or C, real rank 3 included.  Three border-rank demonstration sequences have
-members of low symmetric rank but limits that do not.  A universal verifier
-measures any stated decomposition against any target tensor.
+or C, real rank 3 included.  Three border-rank sequences, sums of tangents,
+have members of low symmetric rank but limits that do not.  A universal
+verifier measures any stated decomposition against any target tensor.
 
 Decomposition terms are normalized so the first nonzero component of each
 vector is 1, with the scale absorbed into the weight, and sorted by the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import enumerate_exponents
+from .combinatorics import _class_columns, enumerate_exponents
 from .errors import DegeneratePencilError, ValidationError
 from .tensor_core import (
     SymmetricTensor,
@@ -104,7 +104,7 @@ def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
     """Sum of weighted outer powers, in compressed form, added term by term."""
     vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects a non-finite sum
-        powers = _monomials(vectors, D.order)
+        powers = _monomials(vectors, D.order, _class_columns(D.order, D.dim))
         powers *= np.array([w for w, _ in D.terms], dtype=np.complex128)[:, None]
         total = powers.sum(axis=0)
     return SymmetricTensor._of(D.order, D.dim, total)
@@ -118,15 +118,23 @@ class VerifyReport:
 
 
 def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_VERIFY_TOL) -> VerifyReport:
-    """Frobenius residual of reconstruct(D) against A, passed at tol*(1+||A||)."""
+    """Frobenius residual of reconstruct(D) against A, passed at tol*(1+||A||).
+
+    Where that threshold overflows, both sides are compared at the shared scale 2^-600.
+    """
     if (D.order, D.dim) != (A.order, A.dim):
         raise ValidationError(
             f"shape mismatch: decomposition ({D.order}, {D.dim}) vs tensor ({A.order}, {A.dim})"
         )
     if tol < 0:
         raise ValidationError("tolerance must be >= 0")
-    residual = frobenius_distance(reconstruct(D), A)
-    return VerifyReport(residual, residual <= tol * (1.0 + frobenius_norm(A)), len(D.terms))
+    R = reconstruct(D)
+    residual, bound = frobenius_distance(R, A), tol * (1.0 + frobenius_norm(A))
+    ok = residual <= bound
+    if math.isinf(bound):  # 2^22 classes of size below 2^1024 keep every norm below 2^(1547-600) there
+        R, A = (SymmetricTensor._of(A.order, A.dim, T._vector * 2.0**-600) for T in (R, A))
+        ok = frobenius_distance(R, A) <= tol * (2.0**-600 + frobenius_norm(A))
+    return VerifyReport(residual, ok, len(D.terms))
 
 
 def binary_monomial_tensor(k: int) -> SymmetricTensor:
@@ -317,19 +325,18 @@ def _vcombine(u, v, s) -> tuple[complex, ...]:
     return tuple(complex(a) + s * complex(b) for a, b in zip(u, v))
 
 
-def _tangent_tensor(x, y, k: int) -> SymmetricTensor:
-    """Derivative of the outer power along y: d/de (x + e y)^xk at e = 0."""
-    xs = [complex(c) for c in x]
-    ys = [complex(c) for c in y]
-    coeffs = {
-        p: sum(
-            e * ys[i] * math.prod(xs[ell] ** (q - (ell == i)) for ell, q in enumerate(p))
+def _tangent_vector(u, v, k: int) -> np.ndarray:
+    """Class vector of the tangent T(u, v) = d/de (u + e v)^xk at e = 0."""
+    us = [complex(c) for c in u]
+    vs = [complex(c) for c in v]
+    return np.array([
+        sum(
+            e * vs[i] * math.prod(us[ell] ** (q - (ell == i)) for ell, q in enumerate(p))
             for i, e in enumerate(p)
             if e
         )
-        for p in enumerate_exponents(k, len(xs))
-    }
-    return SymmetricTensor(k, len(xs), coeffs)
+        for p in enumerate_exponents(k, len(us))
+    ], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -342,7 +349,10 @@ class BorderSequenceSpec:
     epsilons: tuple[float, ...]
 
 
-BORDER_KINDS = ("rank2_to_3", "rank2_to_k", "tangent_sum")
+# Each limit is a sum of tangents T(u, v), (u, v) positions in the base vectors (x, y[, z]):
+# 2 T(y, x) for rank2_to_3, T(x, y) for rank2_to_k, T(x, y) + T(z, x) for tangent_sum.
+_TANGENT_PAIRS = {"rank2_to_3": ((1, 0), (1, 0)), "rank2_to_k": ((0, 1),), "tangent_sum": ((0, 1), (2, 0))}
+BORDER_KINDS = tuple(_TANGENT_PAIRS)
 
 
 def make_border_spec(
@@ -394,48 +404,35 @@ class BorderStep:
     witness: SymmetricDecomposition
 
 
+def _tangent_pairs(spec: BorderSequenceSpec) -> list[tuple[tuple[complex, ...], ...]]:
+    """The pairs (u, v) whose tangents T(u, v) = d/de (u + e v)^xk at e = 0 sum to the limit."""
+    return [(spec.base_vectors[i], spec.base_vectors[j]) for i, j in _TANGENT_PAIRS[spec.kind]]
+
+
 def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
     """Evaluate one member of a border-rank family.
 
-    The member A_eps is reconstructed exactly from its low-rank witness and
-    the limit A_0 from its closed form, so frobenius_distance(A_eps, A_0)
-    measures the approach; it shrinks linearly in epsilon for every kind.
-    rank2_to_3 walks its family along eta = sqrt(epsilon), the schedule that
-    makes the approach linear, with the two-term witness
+    The limit A_0 is the sum of the tangents T(u, v) of the family's pairs,
+    and the member A_eps is reconstructed exactly from its low-rank witness,
+    so frobenius_distance(A_eps, A_0) measures the approach; it shrinks
+    linearly in epsilon for every kind.  The witness of each pair is the
+    forward difference (1/eps)(u + eps v)^xk - (1/eps) u^xk.  rank2_to_3
+    instead takes the central difference of (y, x) along eta = sqrt(epsilon),
+    the schedule that makes the approach linear, written as the two terms
     eta^2 (x + y/eta)^x3 + eta^2 (x - y/eta)^x3.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive; the witness is undefined at the limit")
-    n = len(spec.base_vectors[0])
-    if spec.kind == "rank2_to_k":
-        x, y = spec.base_vectors
-        k = spec.order
-        witness = make_decomposition(
-            k, n,
-            [(1.0 / epsilon, _vcombine(x, y, epsilon)), (-1.0 / epsilon, x)],
-        )
-        limit = _tangent_tensor(x, y, k)
-    elif spec.kind == "rank2_to_3":
+    k, n = spec.order, len(spec.base_vectors[0])
+    pairs = _tangent_pairs(spec)
+    if spec.kind == "rank2_to_3":
         x, y = spec.base_vectors
         eta = math.sqrt(epsilon)
-        witness = make_decomposition(
-            3, n,
-            [(eta**2, _vcombine(x, y, 1.0 / eta)), (eta**2, _vcombine(x, y, -1.0 / eta))],
-        )
-        limit = SymmetricTensor._of(3, n, 2 * _tangent_tensor(y, x, 3)._vector)
+        terms = [(eta**2, _vcombine(x, y, 1.0 / eta)), (eta**2, _vcombine(x, y, -1.0 / eta))]
     else:
-        x, y, z = spec.base_vectors
-        witness = make_decomposition(
-            3, n,
-            [
-                (1.0 / epsilon, _vcombine(x, y, epsilon)),
-                (-1.0 / epsilon, x),
-                (1.0 / epsilon, _vcombine(z, x, epsilon)),
-                (-1.0 / epsilon, z),
-            ],
-        )
-        tangents = _tangent_tensor(x, y, 3)._vector + _tangent_tensor(z, x, 3)._vector
-        limit = SymmetricTensor._of(3, n, tangents)
+        terms = [t for u, v in pairs for t in ((1 / epsilon, _vcombine(u, v, epsilon)), (-1 / epsilon, u))]
+    witness = make_decomposition(k, n, terms)
+    limit = SymmetricTensor._of(k, n, sum(_tangent_vector(u, v, k) for u, v in pairs))
     return BorderStep(reconstruct(witness), limit, witness)
 
 
@@ -443,32 +440,22 @@ def limit_decomposition(spec: BorderSequenceSpec) -> SymmetricDecomposition:
     """An explicit higher-rank decomposition of the sequence limit.
 
     rank2_to_3: the three-term identity (x+y)^x3 + (x-y)^x3 - 2 x^x3.
-    rank2_to_k: k terms k*w_i (beta_i x + y)^xk from the monomial
-    construction with the variable roles swapped.  tangent_sum: six terms,
-    three per tangent direction, the same way.
+    Otherwise k terms k*w_i (v + beta_i u)^xk per tangent pair (u, v), from
+    the monomial construction with the variable roles swapped.
     """
+    x, y = spec.base_vectors[:2]
     if spec.kind == "rank2_to_3":
-        x, y = spec.base_vectors
         terms = [
             (1.0 + 0j, _vcombine(x, y, 1.0)),
             (1.0 + 0j, _vcombine(x, y, -1.0)),
             (-2.0 + 0j, x),
         ]
         return make_decomposition(3, len(x), terms)
-    if spec.kind == "rank2_to_k":
-        x, y = spec.base_vectors
-        k = spec.order
-        mono = decompose_monomial_rank_k(k)
-        # monomial vectors arrive normalized as (1, beta_i)
-        terms = [(k * w, _vcombine(y, x, vec[1])) for w, vec in mono.terms]
-        return make_decomposition(k, len(x), terms, field_tag="C")
-    x, y, z = spec.base_vectors
-    mono = decompose_monomial_rank_k(3)
-    terms = []
-    for w, vec in mono.terms:
-        terms.append((3 * w, _vcombine(y, x, vec[1])))
-        terms.append((3 * w, _vcombine(x, z, vec[1])))
-    return make_decomposition(3, len(x), terms, field_tag="C")
+    k, pairs = spec.order, _tangent_pairs(spec)
+    mono = decompose_monomial_rank_k(k)
+    # monomial vectors arrive normalized as (1, beta_i)
+    terms = [(k * w, _vcombine(v, u, vec[1])) for w, vec in mono.terms for u, v in pairs]
+    return make_decomposition(k, len(x), terms, field_tag="C")
 
 
 def border_distance_table(spec: BorderSequenceSpec) -> list[tuple[float, float]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_sizes, multinomial
+from .combinatorics import _class_columns, _class_size, _class_sizes
 from .errors import ValidationError
 from .tensor_core import SymmetricTensor, _monomials, outer_power
 
@@ -76,12 +76,14 @@ def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
 
 
 def evaluate(F: Quantic, x) -> complex:
-    """F at the point x: sum_p multinomial(p) a_p x^p."""
+    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p."""
     point = np.array([complex(c) for c in x], dtype=np.complex128)
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
-    weighted = _class_sizes(F.degree, F.nvars) * F._tensor._vector
-    return complex(weighted @ _monomials(point[None, :], F.degree)[0])
+    k, n, vec = F.degree, F.nvars, F._tensor._vector
+    nz = vec.nonzero()[0]
+    weighted = _class_sizes(k, n)[nz] * vec[nz]
+    return complex(weighted @ _monomials(point[None, :], k, _class_columns(k, n).take(nz, axis=1))[0])
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:
@@ -144,7 +146,7 @@ def render_quantic(F: Quantic) -> str:
         return "0"
     parts: list[str] = []
     for p in sorted(terms):
-        c = multinomial(p) * terms[p]
+        c = _class_size(p) * terms[p]
         mono = _format_monomial(p)
         if c.imag == 0:
             negative = c.real < 0
@@ -263,5 +265,5 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     terms: dict[tuple[int, ...], complex] = {}
     for coeff, exps in parsed:
         p = tuple(exps.get(i, 0) for i in range(1, n + 1))
-        terms[p] = terms.get(p, 0j) + coeff / multinomial(p)
+        terms[p] = terms.get(p, 0j) + coeff / _class_size(p)
     return Quantic(k, n, terms)

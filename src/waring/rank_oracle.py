@@ -38,12 +38,7 @@ def is_exceptional(k: int, n: int) -> bool:
 
 def generic_symmetric_rank(k: int, n: int) -> int:
     """ceil(C(n+k-1, k) / n), plus one on the four exceptional pairs."""
-    _validate_pair(k, n)
-    dim = sym_dimension(k, n)
-    rank = -(-dim // n)
-    if (k, n) in EXCEPTIONAL_PAIRS:
-        rank += 1
-    return rank
+    return symmetric_rank_bounds(k, n)[0] + is_exceptional(k, n)
 
 
 def symmetric_rank_bounds(k: int, n: int) -> tuple[int, int]:
@@ -109,19 +104,19 @@ def rank_report(k: int, n: int) -> RankReport:
     )
 
 
-def generic_rank_table(k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:
-    """Generic ranks over a (k, n) grid plus the exceptional-cell mask."""
-    ks = list(k_range)
-    ns = list(n_range)
-    values = [[generic_symmetric_rank(k, n) for n in ns] for k in ks]
+def _grid_table(cell, k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:
+    """cell(k, n) over a (k, n) grid plus the exceptional-cell mask."""
+    ks, ns = list(k_range), list(n_range)
+    values = [[cell(k, n) for n in ns] for k in ks]
     mask = [[is_exceptional(k, n) for n in ns] for k in ks]
     return values, mask
+
+
+def generic_rank_table(k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:
+    """Generic ranks over a (k, n) grid plus the exceptional-cell mask."""
+    return _grid_table(generic_symmetric_rank, k_range, n_range)
 
 
 def fiber_table(k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:
     """Fiber dimensions over a (k, n) grid plus the exceptional-cell mask."""
-    ks = list(k_range)
-    ns = list(n_range)
-    values = [[fiber_dimension(k, n) for n in ns] for k in ks]
-    mask = [[is_exceptional(k, n) for n in ns] for k in ks]
-    return values, mask
+    return _grid_table(fiber_dimension, k_range, n_range)

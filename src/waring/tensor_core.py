@@ -166,9 +166,8 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
     return DenseTensor(S._vector[_dense_tables(S.order, S.dim)[0]].reshape((S.dim,) * S.order))
 
 
-def _monomials(points: np.ndarray, k: int) -> np.ndarray:
-    """Row r, column c: prod_i points[r, i] ** p_i for the class p of column c (graded-lex)."""
-    columns = _class_columns(k, points.shape[1])
+def _monomials(points: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
+    """Row r, column c: prod_i points[r, i] ** p_i for the order-k exponent column c."""
     powers = points[:, :, None] ** np.arange(k + 1)
     out = powers[:, 0, columns[0]]
     for i in range(1, len(columns)):
@@ -184,7 +183,7 @@ def outer_power(v, k: int) -> SymmetricTensor:
     if len(vec) < 1:
         raise ValidationError("outer power needs a nonempty vector")
     with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects non-finite powers
-        powers = _monomials(vec[None, :], k)[0]
+        powers = _monomials(vec[None, :], k, _class_columns(k, len(vec)))[0]
     return SymmetricTensor._of(k, len(vec), powers)
 
 
@@ -367,7 +366,6 @@ def tensor_from_json_obj(obj):
         if not isinstance(coeffs_json, list):
             raise ValidationError("field 'coeffs': expected a list")
         coeffs = {}
-        nvars = None
         for item in coeffs_json:
             if not isinstance(item, dict) or "exponent" not in item or "value" not in item:
                 raise ValidationError("field 'coeffs': each item needs 'exponent' and 'value'")
@@ -375,8 +373,6 @@ def tensor_from_json_obj(obj):
             if not isinstance(exp, list) or not all(isinstance(e, int) for e in exp):
                 raise ValidationError("field 'exponent': expected a list of integers")
             p = as_exponent(exp)
-            if nvars is None:
-                nvars = len(p)
             coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")
         order = obj.get("order")
         dim = obj.get("dim")

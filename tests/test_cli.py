@@ -263,6 +263,26 @@ def test_verify_overflowing_residual_is_null_and_exit_1(capsys, tmp_path):
     assert strict_json(out) == {"residual": None, "ok": False, "stated_rank": 1}
 
 
+@pytest.mark.parametrize("weight, ok", [(1e308, False), (-1.5e308, False), (None, True)])
+def test_verify_when_the_tensor_norm_overflows(capsys, tmp_path, weight, ok):
+    # ||A|| = 2.1e308 overflows; the residuals are 1.58e308, inf and 0 (the exact pair)
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({
+        "format": "sym", "order": 3, "dim": 2,
+        "coeffs": [{"exponent": p, "value": [1.5e308, 0.0]} for p in ([3, 0], [0, 3])],
+    }))
+    decomp = tmp_path / "d.json"
+    if weight is None:
+        decomp.write_text(json.dumps({
+            "order": 3, "dim": 2, "field": "R",
+            "terms": [{"weight": [1.5e308, 0.0], "vector": v} for v in ([[1, 0], [0, 0]], [[0, 0], [1, 0]])],
+        }))
+    else:
+        write_decomposition(decomp, weight, [1.0, 0.0])
+    code, out, err = run(capsys, "verify", "--tensor", str(tensor), "--decomp", str(decomp))
+    assert (code, err, strict_json(out)["ok"]) == (0 if ok else 1, "", ok)
+
+
 @pytest.mark.parametrize("weight, vector", [(1.0, [1e200, 0.0]), (1e300, [1e3, 0.0])])
 def test_verify_rejects_a_term_that_overflows_when_normalized_exit_2(capsys, tmp_path, weight, vector):
     tensor = write_cubic(tmp_path / "t.json", 1.0)
@@ -384,7 +404,7 @@ def test_asymmetric_input_to_to_poly_exit_2(capsys):
     assert "symmet" in err.lower()
 
 
-@pytest.mark.parametrize("text", ["x1^70", "x1^1000000*x2", "-2*x7^2 + x1*x300"])
+@pytest.mark.parametrize("text", ["x1^70", "x1^35*x2^35", "x1^1000000*x2", "-2*x7^2 + x1*x300"])
 def test_poly_round_trip_for_high_orders_and_wide_forms(capsys, tmp_path, text):
     # class sizes past the int64 range (C(70, 35)), a million-and-one classes,
     # and a 300-variable quadratic: none needs an exponent table to pass through

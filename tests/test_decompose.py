@@ -104,6 +104,23 @@ def test_verify_reports_residual_and_rank():
     assert not rep.ok and rep.residual > 0.1
 
 
+# ||A|| = 2.1e308 overflows, so tol * (1 + ||A||) is infinite at the plain scale
+HUGE_PAIR = SymmetricTensor(3, 2, {(3, 0): 1.5e308, (0, 3): 1.5e308})
+
+
+@pytest.mark.parametrize("terms", [[(1e308, (1, 0))], [(-1.5e308, (1, 0))]])
+def test_verify_fails_a_wrong_decomposition_when_the_norm_overflows(terms):
+    # the first residual is 1.58e308, the second overflows to inf
+    assert not verify(make_decomposition(3, 2, terms), HUGE_PAIR).ok
+
+
+def test_verify_passes_the_exact_pair_when_the_norm_overflows():
+    exact = make_decomposition(3, 2, [(1.5e308, (1, 0)), (1.5e308, (0, 1))])
+    rep = verify(exact, HUGE_PAIR)
+    assert rep.ok and rep.residual == 0.0
+    assert verify(make_decomposition(3, 2, [(1.5e308, (1, 0)), (1.4e308, (0, 1))]), HUGE_PAIR, 0.1).ok
+
+
 def test_verify_shape_mismatch():
     d = make_decomposition(2, 2, [(1.0, (1, 0))])
     a = SymmetricTensor(3, 2, {(3, 0): 1.0})
@@ -343,9 +360,30 @@ def test_border_spec_defaults_and_validation():
         make_border_spec("rank2_to_3", epsilons=[0.5, 0.0])
 
 
-@pytest.mark.parametrize("kind", ["rank2_to_3", "rank2_to_k", "tangent_sum"])
-def test_border_witness_verifies_at_low_rank(kind):
-    spec = make_border_spec(kind)
+def random_base(kind, order, dim):
+    """Seeded complex base vectors of dimension dim, as many as the kind takes; None for the default."""
+    if dim is None:
+        return None
+    rng = np.random.default_rng(10 * order + dim)
+    count = 3 if kind == "tangent_sum" else 2
+    return (rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))).tolist()
+
+
+# (kind, order, dimension of the seeded complex base vectors)
+SEEDED_BORDER_CASES = [
+    pytest.param(kind, order, dim, id=f"{kind}-order{order}-dim{dim}")
+    for dim in (3, 4)
+    for kind, order in [("rank2_to_3", 3), ("rank2_to_k", 3), ("rank2_to_k", 4), ("rank2_to_k", 6), ("tangent_sum", 3)]
+]
+
+
+@pytest.mark.parametrize(
+    "kind,order,dim",
+    [pytest.param(kind, 3, None, id=kind) for kind in ["rank2_to_3", "rank2_to_k", "tangent_sum"]]
+    + SEEDED_BORDER_CASES,
+)
+def test_border_witness_verifies_at_low_rank(kind, order, dim):
+    spec = make_border_spec(kind, base_vectors=random_base(kind, order, dim), order=order)
     expected_terms = {"rank2_to_3": 2, "rank2_to_k": 2, "tangent_sum": 4}[kind]
     for eps in (0.125, 0.015625):
         step = border_sequence(spec, eps)
@@ -361,9 +399,17 @@ def test_border_distance_slope_near_one(kind):
     assert 0.9 <= fit_loglog_slope(table) <= 1.1
 
 
-@pytest.mark.parametrize("kind,terms", [("rank2_to_3", 3), ("rank2_to_k", 3), ("tangent_sum", 6)])
-def test_limit_decompositions_verify(kind, terms):
-    spec = make_border_spec(kind)
+@pytest.mark.parametrize(
+    "kind,order,dim",
+    [
+        pytest.param(kind, 3, None, id=f"{kind}-{terms}")
+        for kind, terms in [("rank2_to_3", 3), ("rank2_to_k", 3), ("tangent_sum", 6)]
+    ]
+    + SEEDED_BORDER_CASES,
+)
+def test_limit_decompositions_verify(kind, order, dim):
+    terms = {"rank2_to_3": 3, "rank2_to_k": order, "tangent_sum": 6}[kind]
+    spec = make_border_spec(kind, base_vectors=random_base(kind, order, dim), order=order)
     step = border_sequence(spec, 0.25)
     lim = limit_decomposition(spec)
     assert len(lim.terms) == terms
