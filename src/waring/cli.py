@@ -33,7 +33,6 @@ from .montecarlo import stats_to_csv, typical_rank_experiment
 from .quantics import parse_quantic, quantic_to_tensor, render_quantic, tensor_to_quantic
 from .rank_oracle import fiber_table, generic_rank_table, rank_report
 from .tensor_core import (
-    DEFAULT_SYMMETRY_TOL,
     DenseTensor,
     SymmetricTensor,
     compress,
@@ -83,11 +82,13 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal with more digits than int() converts
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _load_symmetric(path: str, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTensor:
+def _load_symmetric(path: str) -> SymmetricTensor:
     t = tensor_from_json_obj(_load_json(path))
-    return t if isinstance(t, SymmetricTensor) else compress(t, tol)
+    return t if isinstance(t, SymmetricTensor) else compress(t)
 
 
 def _emit_json(obj, out: str | None = None) -> None:
@@ -139,7 +140,7 @@ def _cmd_table(args) -> int:
 def _cmd_symmetrize(args) -> int:
     t = tensor_from_json_obj(_load_json(args.infile))
     dense = t if isinstance(t, DenseTensor) else decompress(t)
-    s = compress(symmetrize(dense), args.tol)
+    s = compress(symmetrize(dense))
     _emit_json(tensor_to_json_obj(s), args.out)
     return 0
 
@@ -251,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetrize", help="average a dense tensor over index permutations")
     p.add_argument("--in", dest="infile", required=True, metavar="T.json")
     p.add_argument("--out", metavar="S.json", help="default: standard output")
-    p.add_argument(
-        "--tol",
-        type=_positive_float,
-        default=DEFAULT_SYMMETRY_TOL,
-        help="relative symmetry tolerance for the compressed result",
-    )
     p.set_defaults(handler=_cmd_symmetrize)
 
     p = sub.add_parser("to-poly", help="print the quantic of a symmetric tensor")

@@ -26,12 +26,6 @@ from .errors import ArithmeticOverflowError, CapacityError, ValidationError
 _INT64_MAX = 2**63 - 1
 
 
-def _check_int64(value: int, what: str) -> int:
-    if value > _INT64_MAX:
-        raise ArithmeticOverflowError(f"{what} = {value} exceeds the signed 64-bit range")
-    return value
-
-
 def as_exponent(p) -> tuple[int, ...]:
     """Validate and normalize an exponent vector to an int tuple."""
     exps = tuple(int(e) for e in p)
@@ -53,7 +47,12 @@ def sym_dimension(k: int, n: int) -> int:
         raise ValidationError("order k must be >= 0")
     if n < 1:
         raise ValidationError("dimension n must be >= 1")
-    return _check_int64(math.comb(n + k - 1, k), f"sym_dimension({k}, {n})")
+    # C(n+k-1, s) is at least n+k-1 once s >= 1 and at least C(68, 34) > 2**63 once s >= 34, so
+    # neither case computes a binomial that may have millions of digits
+    s = min(k, n - 1)
+    if s and (s >= 34 or n + k - 1 > _INT64_MAX or math.comb(n + k - 1, s) > _INT64_MAX):
+        raise ArithmeticOverflowError(f"sym_dimension({k}, {n}) exceeds the signed 64-bit range")
+    return math.comb(n + k - 1, s)
 
 
 def multinomial(p) -> int:
@@ -64,14 +63,25 @@ def multinomial(p) -> int:
     every step.
     """
     exps = as_exponent(p)
-    return _check_int64(_class_size(exps), f"multinomial({exps})")
+    size = _class_size(exps)
+    if size > _INT64_MAX:
+        raise ArithmeticOverflowError(f"multinomial({exps}) = {size} exceeds the signed 64-bit range")
+    return size
 
 
 def _class_size(p: tuple[int, ...]) -> int:
-    """multinomial(p) without the int64 limit: exact, checked against the float range only."""
-    size = math.prod(math.comb(total, e) for total, e in zip(itertools.accumulate(p), p))
-    if size > sys.float_info.max:
-        raise ArithmeticOverflowError(f"class size multinomial({p}) exceeds the float range")
+    """multinomial(p) without the int64 limit: exact, checked against the float range only.
+
+    A product of binomials C(total, s), s = min(e, total - e).  Such a binomial is at least total
+    once s >= 1 and at least C(1200, 600) > 1e359 once s >= 600, so both cases are past the float
+    range before a binomial of possibly millions of digits is computed.
+    """
+    size, top = 1, sys.float_info.max
+    for total, e in zip(itertools.accumulate(p), p):
+        s = min(e, total - e)
+        size = math.inf if s >= 600 or (s and total > top) else size * math.comb(total, s)
+        if size > top:
+            raise ArithmeticOverflowError(f"class size multinomial({p}) exceeds the float range")
     return size
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_columns, _class_size, _class_sizes
+from .combinatorics import _class_columns, _class_count, _class_size, _class_sizes
 from .errors import ValidationError
 from .tensor_core import SymmetricTensor, _monomials, outer_power
 
@@ -117,14 +117,6 @@ def _format_real(x: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _format_coefficient(c: complex) -> str:
-    """12-significant-digit coefficient; complex values are parenthesized."""
-    if c.imag == 0:
-        return _format_real(c.real)
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({_format_real(c.real)}{sign}{_format_real(abs(c.imag))}j)"
-
-
 def _format_monomial(p) -> str:
     factors = []
     for i, e in enumerate(p, start=1):
@@ -133,6 +125,17 @@ def _format_monomial(p) -> str:
         elif e > 1:
             factors.append(f"x{i}^{e}")
     return "*".join(factors)
+
+
+def _signed_term(p: tuple[int, ...], a: complex) -> tuple[str, str]:
+    """(sign, body) of the term multinomial(p) * a * x^p: a real coefficient's sign goes between
+    the terms, a complex coefficient is parenthesized after a '+'."""
+    c, mono = _class_size(p) * a, _format_monomial(p)
+    if c.imag != 0:
+        sign = "+" if c.imag >= 0 else "-"
+        return "+", f"({_format_real(c.real)}{sign}{_format_real(abs(c.imag))}j)*{mono}"
+    mag = abs(c.real)
+    return ("-" if c.real < 0 else "+"), (mono if mag == 1 else f"{_format_real(mag)}*{mono}")
 
 
 def render_quantic(F: Quantic) -> str:
@@ -144,63 +147,32 @@ def render_quantic(F: Quantic) -> str:
     terms = F.terms
     if not terms:
         return "0"
-    parts: list[str] = []
-    for p in sorted(terms):
-        c = _class_size(p) * terms[p]
-        mono = _format_monomial(p)
-        if c.imag == 0:
-            negative = c.real < 0
-            mag = abs(c.real)
-            body = mono if mag == 1 else f"{_format_real(mag)}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" {'-' if negative else '+'} {body}")
-        else:
-            body = f"{_format_coefficient(c)}*{mono}"
-            parts.append(body if not parts else f" + {body}")
-    return "".join(parts)
+    (sign, first), *rest = (_signed_term(p, terms[p]) for p in sorted(terms))
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 
+# A term sign is a + or - outside parentheses that does not follow a mantissa's e or E, as in
+# 1.5e-05.  A parenthesized coefficient, nested at most twice as in ((1+2j)), matches whole, so
+# its signs never split; a parenthesis left over is unbalanced.
+_TERM_SIGN_RE = re.compile(r"(?P<group>\((?:[^()]|\([^()]*\))*\))|(?P<paren>[()])|[+-](?<![\d.][eE][+-])")
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def _ends_in_exponent_mark(chars: list[str]) -> bool:
-    return len(chars) >= 2 and chars[-1] in "eE" and (chars[-2].isdigit() or chars[-2] == ".")
-
-
 def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level + and - (parenthesized coefficients stay intact).
-
-    A sign right after a mantissa and its 'e', as in 1.5e-05, belongs to the
-    exponent of the coefficient and does not split.
-    """
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValidationError("unbalanced parentheses in quantic text")
-            current.append(ch)
-        elif ch in "+-" and depth == 0 and not _ends_in_exponent_mark(current):
-            chunk = "".join(current).strip()
-            if chunk:
-                terms.append((sign, chunk))
-            elif terms:
-                raise ValidationError("empty term in quantic text")
-            sign = 1 if ch == "+" else -1
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ValidationError("unbalanced parentheses in quantic text")
-    chunk = "".join(current).strip()
+    """(sign, term) pairs of quantic text; of several leading signs the last one counts."""
+    terms, sign, start = [], 1, 0
+    for m in _TERM_SIGN_RE.finditer(text):
+        if m.lastgroup == "group":
+            continue
+        if m.lastgroup == "paren":
+            raise ValidationError("unbalanced parentheses in quantic text")
+        chunk = text[start:m.start()].strip()
+        if chunk:
+            terms.append((sign, chunk))
+        elif terms:
+            raise ValidationError("empty term in quantic text")
+        sign, start = (-1 if m.group() == "-" else 1), m.end()
+    chunk = text[start:].strip()
     if not chunk:
         raise ValidationError("quantic text ends with a dangling sign" if terms else "empty quantic text")
     terms.append((sign, chunk))
@@ -222,39 +194,35 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     comes from the terms, which must all share it.  Parsed coefficients are
     monomial coefficients and are divided by multinomial(p) for storage.
     """
-    squeezed = text.strip()
-    if not squeezed:
-        raise ValidationError("empty quantic text")
     parsed: list[tuple[complex, dict[int, int]]] = []
-    max_var = 0
-    for sign, chunk in _split_terms(squeezed):
+    for sign, chunk in _split_terms(text):
         coeff = complex(sign)
         exponents: dict[int, int] = {}
-        saw_variable = False
         for raw_factor in chunk.split("*"):
             factor = raw_factor.strip()
             if not factor:
                 raise ValidationError(f"empty factor in term '{chunk}'")
             m = _FACTOR_RE.match(factor)
-            if m:
-                var = int(m.group(1))
-                exp = int(m.group(2)) if m.group(2) else 1
-                if var < 1:
-                    raise ValidationError(f"variable index must be >= 1 in '{factor}'")
-                if exp < 1:
-                    raise ValidationError(f"exponent must be >= 1 in '{factor}'")
-                exponents[var] = exponents.get(var, 0) + exp
-                max_var = max(max_var, var)
-                saw_variable = True
-            else:
-                if saw_variable:
+            if m is None:
+                if exponents:
                     raise ValidationError(
                         f"coefficient '{factor}' must precede the variables in term '{chunk}'"
                     )
                 coeff *= _parse_coefficient(factor)
+                continue
+            try:
+                var, exp = int(m.group(1)), int(m.group(2) or 1)
+            except ValueError:  # more digits than int() converts
+                raise ValidationError("a variable index or exponent has too many digits") from None
+            if var < 1:
+                raise ValidationError(f"variable index must be >= 1 in '{factor}'")
+            if exp < 1:
+                raise ValidationError(f"exponent must be >= 1 in '{factor}'")
+            exponents[var] = exponents.get(var, 0) + exp
         if not exponents:
             raise ValidationError(f"term '{chunk}' has no variables; constants are not homogeneous")
         parsed.append((coeff, exponents))
+    max_var = max(max(exps) for _, exps in parsed)
     n = nvars if nvars is not None else max_var
     if n < max_var:
         raise ValidationError(f"variable x{max_var} exceeds the requested {n} variables")
@@ -262,6 +230,7 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     if len(degrees) != 1:
         raise ValidationError(f"terms have mixed degrees {sorted(degrees)}; a quantic is homogeneous")
     k = degrees.pop()
+    _class_count(k, n)  # a shape past the class cap fails here, before a tuple of n exponents is built
     terms: dict[tuple[int, ...], complex] = {}
     for coeff, exps in parsed:
         p = tuple(exps.get(i, 0) for i in range(1, n + 1))

@@ -25,6 +25,7 @@ from .combinatorics import (
 from .errors import CapacityError, SymmetryError, ValidationError
 
 DENSE_ENTRY_CAP = 10_000_000
+_DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
 DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
@@ -156,8 +157,14 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
     return SymmetricTensor._of(A.order, A.dim, A.array.reshape(-1)[canon])
 
 
+def _check_dense_order(order: int) -> None:
+    if order > _DENSE_ORDER_CAP:
+        raise CapacityError(f"a dense form of order {order} needs more than numpy's {_DENSE_ORDER_CAP} axes")
+
+
 def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseTensor:
     """Materialize the full n^k dense array of a compressed symmetric tensor."""
+    _check_dense_order(S.order)
     total = S.dim**S.order
     if total > max_entries:
         raise CapacityError(
@@ -340,7 +347,7 @@ def _read_pair(obj, field: str) -> complex:
 
 
 def _read_size(value, field: str) -> int:
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:  # a JSON true is a bool, not the size 1
         raise ValidationError(f"field '{field}': expected a positive integer")
     return value
 
@@ -355,10 +362,12 @@ def tensor_from_json_obj(obj):
             if key not in obj:
                 raise ValidationError(f"field '{key}': missing")
         order, dim = _read_size(obj["order"], "order"), _read_size(obj["dim"], "dim")
+        _check_dense_order(order)
         entries = obj["entries"]
-        if not isinstance(entries, list) or len(entries) != dim**order:
+        # dim > len(entries) already mismatches, and otherwise dim**order stays a few hundred digits
+        if not isinstance(entries, list) or dim > len(entries) or len(entries) != dim**order:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
-            raise ValidationError(f"field 'entries': expected {dim**order} pairs, got {got}")
+            raise ValidationError(f"field 'entries': expected {dim}**{order} pairs, got {got}")
         flat = [_read_pair(e, "entries") for e in entries]
         return DenseTensor(np.array(flat, dtype=np.complex128).reshape((dim,) * order))
     if fmt == "sym":
@@ -370,7 +379,7 @@ def tensor_from_json_obj(obj):
             if not isinstance(item, dict) or "exponent" not in item or "value" not in item:
                 raise ValidationError("field 'coeffs': each item needs 'exponent' and 'value'")
             exp = item["exponent"]
-            if not isinstance(exp, list) or not all(isinstance(e, int) for e in exp):
+            if not isinstance(exp, list) or not all(type(e) is int for e in exp):
                 raise ValidationError("field 'exponent': expected a list of integers")
             p = as_exponent(exp)
             coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")

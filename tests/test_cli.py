@@ -413,3 +413,50 @@ def test_poly_round_trip_for_high_orders_and_wide_forms(capsys, tmp_path, text):
     sym = tmp_path / "form.json"
     assert run(capsys, "from-poly", "--in", str(poly), "--out", str(sym))[0] == 0
     assert run(capsys, "to-poly", "--in", str(sym)) == (0, text + "\n", "")
+
+
+def _sym_json(order, dim, coeffs=()):
+    return {"format": "sym", "order": order, "dim": dim, "coeffs": list(coeffs)}
+
+
+def _dense_json(order, dim, entries):
+    return {"format": "dense", "order": order, "dim": dim, "entries": entries}
+
+
+_ONE = {"exponent": [100], "value": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param("from-poly", "x1^" + "9" * 5000, id="exponent-past-int-digit-limit"),
+        pytest.param("dim --order 20000 --dim 20000", None, id="dim-binomial-of-12000-digits"),
+        pytest.param("rank --order 20000 --dim 20000", None, id="rank-binomial-of-12000-digits"),
+        pytest.param("to-poly", json.dumps(_sym_json(20000, 20000)), id="sym-binomial-of-12000-digits"),
+        pytest.param("to-poly", json.dumps(_dense_json(5000, 10, [])), id="dense-order-5000"),
+        pytest.param("to-poly", json.dumps(_dense_json(100, 1, [[1, 0]])), id="dense-order-100"),
+        pytest.param("symmetrize", json.dumps(_sym_json(100, 1, [_ONE])), id="symmetrize-sym-order-100"),
+        pytest.param("to-poly", json.dumps(_sym_json(True, 1)), id="boolean-order"),
+        pytest.param(
+            "to-poly",
+            json.dumps({"format": "sym", "coeffs": [{"exponent": [True, 0], "value": [1, 0]}]}),
+            id="boolean-exponent",
+        ),
+        pytest.param("to-poly", '{"format": "sym", "order": ' + "9" * 5000 + "}", id="json-int-digit-limit"),
+    ],
+)
+def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, command, content):
+    argv = command.split()
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_text(content)
+        argv += ["--in", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_symmetrize_has_no_tol_flag(capsys):
+    code, out, err = run(capsys, "symmetrize", "--in", str(FIXTURES / "a31_tensor.json"), "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol" in err

@@ -41,6 +41,17 @@ def test_sym_dimension_overflow():
         sym_dimension(500, 500)
 
 
+def test_sym_dimension_decides_overflow_before_the_binomial():
+    # C(39999, 20000) has about 12,000 digits and C(2*10**9 - 1, 10**9) about 6*10**8: the message
+    # names k and n instead, and the edges of the int64 range still come out exact
+    for k, n in ((20000, 20000), (10**9, 10**9), (34, 35), (1, 2**63), (2**63 - 1, 2)):
+        with pytest.raises(ArithmeticOverflowError, match=rf"sym_dimension\({k}, {n}\) exceeds"):
+            sym_dimension(k, n)
+    assert sym_dimension(2**63 - 2, 2) == sym_dimension(1, 2**63 - 1) == 2**63 - 1
+    assert sym_dimension(33, 34) == math.comb(66, 33)
+    assert sym_dimension(10**400, 1) == 1
+
+
 def test_multinomial_values():
     assert multinomial((3, 1)) == 4
     assert multinomial((1, 1, 1)) == 6

@@ -28,9 +28,11 @@ from waring.decompose import (
     reconstruct,
     verify,
 )
-from waring.errors import DegeneratePencilError, ValidationError
+from waring.errors import ArithmeticOverflowError, DegeneratePencilError, ValidationError
 from waring.quantics import parse_quantic, quantic_to_tensor, render_quantic, tensor_to_quantic
-from waring.tensor_core import SymmetricTensor, frobenius_distance, frobenius_norm, outer_power, power_span_rank
+from waring.tensor_core import (
+    SymmetricTensor, frobenius_distance, frobenius_norm, outer_power, power_span_rank, tensor_from_json_obj,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -533,3 +535,70 @@ def test_monomial_tensor_past_the_int64_class_sizes():
     A = binary_monomial_tensor(70)
     assert math.isclose(frobenius_norm(A), math.sqrt(70) / 70, rel_tol=1e-15)
     assert len(decompose_monomial_rank_k(70).terms) == 70
+
+
+# --- JSON readers on arbitrary values ---------------------------------------------------
+
+_JSON_KEYS = st.sampled_from(
+    ["order", "dim", "format", "entries", "coeffs", "exponent", "value", "field", "terms", "weight", "vector"]
+)
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["dense", "sym", "R", "C"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=6),
+    max_leaves=24,
+)
+_size = st.integers(-1, 6) | st.booleans() | st.sampled_from([64, 65, 100, 5000, 20000, 10**9, 2**63])
+_pair = st.lists(st.integers() | st.floats() | st.booleans(), max_size=3)
+
+
+def _record(**fields):
+    """Objects with a reader's real keys, each absent, plausible or any JSON value."""
+    return st.fixed_dictionaries({}, optional={key: value | _json_value for key, value in fields.items()})
+
+
+_tensor_json = _record(
+    format=st.sampled_from(["dense", "sym"]),
+    order=_size,
+    dim=_size,
+    entries=st.lists(_pair, max_size=9),
+    coeffs=st.lists(
+        _record(exponent=st.lists(st.integers() | st.booleans(), max_size=4), value=_pair), max_size=4
+    ),
+)
+_decomposition_json = _record(
+    order=_size,
+    dim=_size,
+    field=st.sampled_from(["R", "C"]),
+    terms=st.lists(_record(weight=_pair, vector=st.lists(_pair, max_size=4)), max_size=3),
+)
+
+
+def _read_or_typed_error(reader, obj):
+    """The reader's result, or None when it raises one of the package's typed errors."""
+    try:
+        return reader(obj)
+    except (ValidationError, ArithmeticOverflowError):
+        return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tensor_json | _json_value)
+@example({"format": "dense", "order": 100, "dim": 1, "entries": [[1, 0]]})
+@example({"format": "dense", "order": 5000, "dim": 10, "entries": []})
+@example({"format": "sym", "order": 20000, "dim": 20000, "coeffs": []})
+@example({"format": "sym", "coeffs": [{"exponent": [True, 0], "value": [1, 0]}]})
+def test_tensor_json_reader_raises_only_typed_errors(obj):
+    tensor = _read_or_typed_error(tensor_from_json_obj, obj)
+    if tensor is not None:  # sizes and exponents read as integers, never as booleans
+        assert type(tensor.order) is int and type(tensor.dim) is int
+        if isinstance(tensor, SymmetricTensor):
+            assert all(type(e) is int for item in obj["coeffs"] for e in item["exponent"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_decomposition_json | _json_value)
+@example({"order": True, "dim": 1, "field": "C", "terms": [{"weight": [1, 0], "vector": [[1, 0]]}]})
+def test_decomposition_json_reader_raises_only_typed_errors(obj):
+    decomposition = _read_or_typed_error(decomposition_from_json_obj, obj)
+    if decomposition is not None:
+        assert type(decomposition.order) is int and type(decomposition.dim) is int

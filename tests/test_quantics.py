@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from waring.combinatorics import enumerate_exponents
-from waring.errors import ValidationError
+from waring.errors import ArithmeticOverflowError, CapacityError, ValidationError
 from waring.quantics import (
     LinearForm,
     Quantic,
@@ -211,3 +214,60 @@ def test_wide_quadratic_evaluates_and_pairs_like_its_terms():
     # <F, F> = sum_p multinomial(p) a_p^2 with a_p the stored (halved off-diagonal) coefficients
     assert abs(apolar_form(F, F) - (2 * 0.5**2 + 2**2 + 2 * (-0.25j) ** 2)) < 1e-12
     assert render_quantic(F) == "2*x5^2 + (0-0.5j)*x2*x3 + x1*x300"
+
+
+def test_parse_grammar_edges():
+    # leading signs (the last one counts), exponent-form mantissas, a parenthesized complex
+    # coefficient (also doubly parenthesized), several coefficient factors, repeated variables
+    assert parse_quantic("  - + x1^2  -  2*x1*x2 ").terms == {(2, 0): 1.0, (1, 1): -1.0}
+    assert parse_quantic("1.5E+05*x1 - 2e-3*x2").terms == {(1, 0): 1.5e5, (0, 1): -2e-3}
+    assert parse_quantic("(1 + 2j) * x1").terms == parse_quantic("((1+2j))*x1").terms == {(1,): 1 + 2j}
+    assert parse_quantic("2*3*x1*x1").terms == {(2,): 6.0}
+    for bad in ("x1 -- x2", "x1 + x2 -", "(1+2j))*x1", "((1+2j)*x1", "(((1)))*x1", "x1)"):
+        with pytest.raises(ValidationError):
+            parse_quantic(bad)
+
+
+def test_parse_bounds_digits_and_width_before_building_terms():
+    with pytest.raises(ValidationError, match="too many digits"):
+        parse_quantic("x1^" + "9" * 5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            parse_quantic("x3000000^2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_class_size_past_the_float_range_needs_no_huge_binomial(monkeypatch):
+    # C(4194303, 2097152) has about 1.26 million digits and took minutes to compute
+    comb = math.comb
+
+    def small_comb(n, k):
+        assert min(k, n - k) < 600, f"C({n}, {k}) computed"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        parse_quantic("x1^2097151*x2^2097152")
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        render_quantic(Quantic(4194303, 2, {(2097151, 2097152): 1.0}))
+
+
+_GRAMMAR_PIECES = ["x1", "x2^3", "x9999", "^9999", "*", "+", "-", " ", "(", ")", "2", "1.5e-05", "E+3", "j"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.text(alphabet="x0123456789^*+-.()ejE ", max_size=40)
+    | st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=12).map("".join)
+)
+@example("x9999^9999")  # C(19997, 9999) has about 6,000 digits
+@example("x3000000^2")
+def test_parse_quantic_raises_only_typed_errors(text):
+    try:
+        parse_quantic(text)
+    except (ValidationError, ArithmeticOverflowError):
+        pass

@@ -256,6 +256,27 @@ def test_json_errors_name_fields():
         )
 
 
+def test_json_rejects_booleans_as_integers():
+    with pytest.raises(ValidationError, match="'order'"):
+        tensor_from_json_obj({"format": "sym", "order": True, "dim": 1, "coeffs": []})
+    with pytest.raises(ValidationError, match="'dim'"):
+        tensor_from_json_obj({"format": "dense", "order": 1, "dim": True, "entries": [[1.0, 0.0]]})
+    with pytest.raises(ValidationError, match="'exponent'"):
+        tensor_from_json_obj({"format": "sym", "coeffs": [{"exponent": [True, 0], "value": [1.0, 0.0]}]})
+
+
+def test_dense_forms_stop_at_numpy_axes():
+    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+        tensor_from_json_obj({"format": "dense", "order": 100, "dim": 1, "entries": [[1.0, 0.0]]})
+    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+        tensor_from_json_obj({"format": "dense", "order": 5000, "dim": 10, "entries": []})
+    with pytest.raises(ValidationError, match=r"expected 10\*\*3 pairs, got 0"):
+        tensor_from_json_obj({"format": "dense", "order": 3, "dim": 10, "entries": []})
+    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+        decompress(SymmetricTensor(100, 1, {(100,): 1.0}))
+    assert decompress(SymmetricTensor(64, 1, {(64,): 2.0})).array.shape == (1,) * 64
+
+
 def test_json_rejects_non_finite_pairs():
     for bad in ([float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0]):
         with pytest.raises(ValidationError, match="entries"):
