@@ -46,6 +46,7 @@ from .errors import (
     SymmetryError,
     UnsupportedOrderError,
     ValidationError,
+    WorkerError,
 )
 from .montecarlo import (
     TrialStats,

@@ -32,7 +32,7 @@ def as_exponent(p) -> tuple[int, ...]:
     if not exps:
         raise ValidationError("exponent vector must have at least one entry")
     if any(e < 0 for e in exps):
-        raise ValidationError(f"exponent vector {exps} has a negative entry")
+        raise ValidationError("exponent vector has a negative entry")
     return exps
 
 

@@ -43,3 +43,7 @@ class DegeneratePencilError(RuntimeError):
     def __init__(self, condition: str):
         super().__init__(f"degenerate pencil: {condition}")
         self.condition = condition
+
+
+class WorkerError(RuntimeError):
+    """A forked Monte-Carlo worker raised or died before it returned its counts."""

@@ -11,13 +11,14 @@ The bilinear form over C induces no norm, so none is provided.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import _class_columns, _class_count, _class_size, _class_sizes
-from .errors import ValidationError
+from .errors import ArithmeticOverflowError, ValidationError
 from .tensor_core import SymmetricTensor, _monomials, outer_power
 
 
@@ -131,6 +132,8 @@ def _signed_term(p: tuple[int, ...], a: complex) -> tuple[str, str]:
     """(sign, body) of the term multinomial(p) * a * x^p: a real coefficient's sign goes between
     the terms, a complex coefficient is parenthesized after a '+'."""
     c, mono = _class_size(p) * a, _format_monomial(p)
+    if not cmath.isfinite(c):
+        raise ArithmeticOverflowError(f"the printed coefficient of {mono} exceeds the float range")
     if c.imag != 0:
         sign = "+" if c.imag >= 0 else "-"
         return "+", f"({_format_real(c.real)}{sign}{_format_real(abs(c.imag))}j)*{mono}"

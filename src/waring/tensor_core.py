@@ -76,8 +76,10 @@ class SymmetricTensor:
         for p, v in dict(coeffs).items():
             key = as_exponent(p)
             if len(key) != dim:
-                raise ValidationError(f"exponent {key} has {len(key)} entries, expected {dim}")
+                raise ValidationError(f"an exponent has {len(key)} entries, expected {dim}")
             if sum(key) != order:
+                if max(key) > order:  # say so without formatting an entry past int's digit limit
+                    raise ValidationError(f"an exponent has an entry above the order {order}")
                 raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
             value = complex(v)
             if value != 0:

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from waring import montecarlo
 from waring.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -364,6 +366,22 @@ def test_montecarlo_text_and_workers(capsys):
     assert "fraction 0.785800" in out
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or montecarlo._usable_cpus() < 2, reason="needs os.fork and two CPUs")
+def test_montecarlo_worker_failure_exits_1_with_one_error_line(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def failing_in_a_child(case, seed, lo, hi):
+        if os.getpid() != parent:
+            raise MemoryError("injected")
+        return np.zeros(3, dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_run_block", failing_in_a_child)
+    samples = str(2 * montecarlo.MIN_FORK_TRIALS)
+    code, out, err = run(capsys, "montecarlo", "--case", "sym222", "--samples", samples, "--seed", "1", "--workers", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "MemoryError: injected" in err
+
+
 def test_malformed_json_names_position(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -454,6 +472,16 @@ def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, com
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_to_poly_refuses_a_coefficient_that_would_print_as_inf(capsys, tmp_path):
+    # multinomial(1, 1) * 1e308 overflows: printing inf would give text that from-poly rejects
+    path = tmp_path / "t.json"
+    coeffs = [{"exponent": [1, 1], "value": [1e308, 0]}, {"exponent": [2, 0], "value": [1, 0]}]
+    path.write_text(json.dumps(_sym_json(2, 2, coeffs)))
+    code, out, err = run(capsys, "to-poly", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "x1*x2" in err
 
 
 def test_symmetrize_has_no_tol_flag(capsys):

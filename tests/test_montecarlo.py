@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from waring.decompose import decompose_sym222_pencil
-from waring.errors import DegeneratePencilError, ValidationError
+from waring import montecarlo
+from waring.errors import DegeneratePencilError, ValidationError, WorkerError
 from waring.montecarlo import (
+    MIN_FORK_TRIALS,
     TrialStats,
     classify_asym222,
     classify_sym222,
@@ -165,6 +172,115 @@ def test_experiment_validates_arguments():
         typical_rank_experiment("sym222", 10, -1)
     with pytest.raises(ValidationError):
         typical_rank_experiment("sym222", 10, 0, workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case, counts", [("sym222", (520303, 479697, 0)), ("asym222", (785527, 214473, 0))])
+def test_experiment_counts_frozen_for_seed_42_at_a_million_trials(case, counts, workers):
+    s = typical_rank_experiment(case, 10**6, 42, workers=workers)
+    assert (s.rank2, s.rank3, s.degenerate) == counts
+
+
+can_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or montecarlo._usable_cpus() < 2, reason="needs os.fork and two usable CPUs"
+)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@can_fork
+def test_blocks_above_the_threshold_run_in_another_process(tmp_path, monkeypatch):
+    run_block = montecarlo._run_block
+
+    def recording_block(case, seed, lo, hi):
+        (tmp_path / f"{lo}-{hi}").write_text(str(os.getpid()))
+        return run_block(case, seed, lo, hi)
+
+    samples = 2 * MIN_FORK_TRIALS
+    serial = typical_rank_experiment("asym222", samples, 5)
+    monkeypatch.setattr(montecarlo, "_run_block", recording_block)
+    assert typical_rank_experiment("asym222", samples, 5, workers=2) == serial
+    pids = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
+    assert pids.keys() == {f"0-{MIN_FORK_TRIALS}", f"{MIN_FORK_TRIALS}-{samples}"}
+    assert pids[f"0-{MIN_FORK_TRIALS}"] == os.getpid() != pids[f"{MIN_FORK_TRIALS}-{samples}"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [None, 8])
+def test_workers_start_at_most_one_child_per_other_cpu(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    cpus = montecarlo._usable_cpus()
+    starts = []
+
+    def counting_start(case, seed, lo, hi):
+        starts.append((lo, hi))
+        return lambda: montecarlo._run_block(case, seed, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_fork_block", counting_start)
+    serial = typical_rank_experiment("sym222", 10**6, 42)
+    assert typical_rank_experiment("sym222", 10**6, 42, workers=10**6) == serial
+    assert len(starts) <= cpus - 1
+    assert (len(starts) > 0) == (cpus > 1 and hasattr(os, "fork"))
+    # the children's spans are contiguous and end the range; this process ran the first span
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(starts, starts[1:]))
+    assert not starts or starts[-1][1] == 10**6
+
+
+@can_fork
+@pytest.mark.parametrize("fault, message", [("raise", "RuntimeError: injected"), ("kill", "killed by signal 9")])
+def test_a_failing_worker_is_a_typed_error_and_is_reaped(monkeypatch, fault, message):
+    parent, run_block = os.getpid(), montecarlo._run_block
+
+    def faulty_block(case, seed, lo, hi):
+        if os.getpid() != parent:
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("injected")
+        return run_block(case, seed, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_run_block", faulty_block)
+    with pytest.raises(WorkerError, match=message):
+        typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 1, workers=2)
+    _assert_no_child_left()
+
+
+@can_fork
+def test_forking_under_a_thread_warning_stays_silent(monkeypatch):
+    """Python 3.12 warns when a process with threads forks; the experiment silences that one message."""
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 3, workers=2)
+    assert stats == typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 3)
+
+
+def test_an_experiment_run_while_its_module_imports_finishes(tmp_path):
+    (tmp_path / "experiment_at_import.py").write_text(
+        "from waring.montecarlo import typical_rank_experiment\n"
+        "s = typical_rank_experiment('sym222', 10**6, 42, workers=2)\n"
+        "print(s.rank2, s.rank3, s.degenerate)\n"
+    )
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tmp_path)])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import experiment_at_import"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "520303 479697 0\n", "")
 
 
 def test_more_workers_than_samples():

@@ -271,3 +271,10 @@ def test_parse_quantic_raises_only_typed_errors(text):
         parse_quantic(text)
     except (ValidationError, ArithmeticOverflowError):
         pass
+
+
+@pytest.mark.parametrize("value", [1e308, 1e308j])
+def test_render_refuses_a_printed_coefficient_past_the_float_range(value):
+    # the stored coefficient is finite; multinomial(1, 1) = 2 times it is not
+    with pytest.raises(ArithmeticOverflowError, match=r"x1\*x2"):
+        render_quantic(Quantic(2, 2, {(1, 1): value, (2, 0): 1.0}))

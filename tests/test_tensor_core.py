@@ -503,3 +503,11 @@ def test_library_results_that_overflow_are_rejected():
     decomposition = make_decomposition(3, 2, [(1.0, (1.0, 1e200))])
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match="finite"):
         verify(decomposition, SymmetricTensor(3, 2, {(3, 0): 1.0}))
+
+
+@pytest.mark.parametrize("exponent", [[10**5000], [-(10**5000)], [10**5000, 0]])
+def test_json_exponent_past_the_int_digit_limit_is_a_validation_error(exponent):
+    # the messages must not format the entry: str() of a 5001-digit int raises ValueError
+    obj = {"format": "sym", "order": 1, "dim": 1, "coeffs": [{"exponent": exponent, "value": [1, 0]}]}
+    with pytest.raises(ValidationError, match="exponent"):
+        tensor_from_json_obj(obj)
