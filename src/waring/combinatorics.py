@@ -1,15 +1,13 @@
 """Multi-index machinery underlying symmetric tensor storage.
 
-An exponent vector p = (p1, ..., pn) of degree k = sum(p) labels one
-monomial class of an order-k symmetric tensor over C^n.  An index tuple
-j = (j1, ..., jk) with entries in {1, ..., n} addresses one dense entry;
-its class is the multiplicity vector of the values it contains.  Both are
-represented as plain int tuples; the array kernels of tensor_core read the
-per-(k, n) index tables built and cached here.
+An exponent vector p = (p1, ..., pn) of degree k = sum(p) labels one monomial class of an
+order-k symmetric tensor over C^n; an index tuple j = (j1, ..., jk) over {1, ..., n} addresses
+one dense entry, whose class is the multiplicity vector of its values.  Both are int tuples.
 
-Public integer counts are validated against the signed 64-bit range and the
-class sizes that storage and quantics use against the float range, so that
-a silent wraparound or an infinity can never corrupt downstream bilinear forms.
+The per-(k, n) tables that tensor_core's kernels read take each decision by one rule: classes
+are numbered by the graded-lex steps of _id_steps, a shape's class sizes fit a float exactly when
+its largest (balanced) class does, and each table cache keeps the 8 latest shapes.  Public integer
+counts are checked against the signed 64-bit range, so no wraparound or infinity reaches a kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ def sym_dimension(k: int, n: int) -> int:
     # neither case computes a binomial that may have millions of digits
     s = min(k, n - 1)
     if s and (s >= 34 or n + k - 1 > _INT64_MAX or math.comb(n + k - 1, s) > _INT64_MAX):
-        raise ArithmeticOverflowError(f"sym_dimension({k}, {n}) exceeds the signed 64-bit range")
+        shape = f"({k}, {n})" if max(k, n).bit_length() < 2000 else " of an argument past 600 digits"
+        raise ArithmeticOverflowError(f"sym_dimension{shape} exceeds the signed 64-bit range")
     return math.comb(n + k - 1, s)
 
 
@@ -69,7 +68,7 @@ def multinomial(p) -> int:
     return size
 
 
-def _class_size(p: tuple[int, ...]) -> int:
+def _class_size(p: tuple[int, ...], what: str = "") -> int:
     """multinomial(p) without the int64 limit: exact, checked against the float range only.
 
     A product of binomials C(total, s), s = min(e, total - e).  Such a binomial is at least total
@@ -81,7 +80,7 @@ def _class_size(p: tuple[int, ...]) -> int:
         s = min(e, total - e)
         size = math.inf if s >= 600 or (s and total > top) else size * math.comb(total, s)
         if size > top:
-            raise ArithmeticOverflowError(f"class size multinomial({p}) exceeds the float range")
+            raise ArithmeticOverflowError(f"{what or f'class size multinomial({p})'} exceeds the float range")
     return size
 
 
@@ -114,6 +113,7 @@ def index_to_exponent(indices, n: int) -> tuple[int, ...]:
 # kernels build exponent tables of at most TABLE_CAP entries (one byte each below order 256).
 CLASS_CAP = 1 << 22
 TABLE_CAP = 1 << 26
+_SHAPES_CACHED = 8  # the latest shapes each per-(k, n) cache of arrays keeps; one can take 96 MiB
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -140,14 +140,14 @@ def _class_id(p: tuple[int, ...]) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
-def _id_steps(k: int, n: int) -> list[np.ndarray]:
+@lru_cache(maxsize=_SHAPES_CACHED)
+def _id_steps(k: int, n: int) -> np.ndarray:
     """Row i, entry t: C(n-i-2+t, n-i-1), what _class_id adds for x_(i+1), below the class count."""
-    cum, rows = np.ones(k + 1, dtype=np.int64), []
-    for _ in range(n - 1):
-        cum = np.cumsum(cum)  # applied a times to ones: C(a+t, t), exact
-        rows.append(np.concatenate(([0], cum[:-1])))
-    return rows[::-1]
+    square = np.ones(sorted((n, k)), dtype=np.int64)  # [a, s]: C(a+s, a), either way round
+    for a in range(1, len(square)):  # one running sum per row of the shorter side, exact
+        square[a] = np.cumsum(square[a - 1])
+    square = square.T if n > k else square
+    return _frozen(np.hstack((np.zeros((n - 1, 1), dtype=np.int64), square[:0:-1])))
 
 
 def _exponents(k: int, n: int, ids) -> np.ndarray:
@@ -174,7 +174,7 @@ def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
     return tuple(_exponents(k, n, [c])[:, 0].tolist())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES_CACHED)
 def _class_columns(k: int, n: int) -> np.ndarray:
     """(n, m) exponents of every class in graded-lex order: entry [i, c] is the exponent of x_(i+1)."""
     m = _class_count(k, n)
@@ -183,40 +183,39 @@ def _class_columns(k: int, n: int) -> np.ndarray:
     return _frozen(_exponents(k, n, np.arange(m)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES_CACHED)
 def _class_sizes(k: int, n: int) -> np.ndarray:
     """Every class size multinomial(p), correctly rounded: a product of binomials C(p1+...+pi, pi),
-    in float64 while every size is below 2**53 (so exactly) and in Python integers above."""
-    q, r = divmod(k, n)
-    largest = math.lgamma(k + 1) - r * math.lgamma(q + 2) - (n - r) * math.lgamma(q + 1)
-    if largest > 709:  # the balanced class; the float maximum is e**709.78
-        raise ArithmeticOverflowError(f"class sizes of order {k} over C^{n} exceed the float range")
-    dtype = object if largest > 36 else np.float64  # e**36 < 2**53
+    in float64 while the largest, balanced class is at most 2**53 (so exactly) and in ints above."""
     columns = _class_columns(k, n)
+    q, r = divmod(k, n)
+    largest = _class_size((q + 1,) * r + (q,) * (n - r), f"the largest class size of order {k} over C^{n}")
+    dtype = object if largest > 2**53 else np.float64
     sizes, total = np.ones(columns.shape[1], dtype=dtype), columns[0].astype(np.intp)
     if n > 1:  # C(p1, p1) = 1, so a single variable needs no table
-        binom = np.array([[math.comb(s, e) for e in range(k + 1)] for s in range(k + 1)], dtype=dtype)
+        binom = np.tril(np.ones((k + 1, k + 1), dtype=dtype))  # [s, e]: C(s, e), none past the largest class
+        for e in range(1, k + 1):  # Pascal's rule summed down column e: C(s, e) = sum of C(s', e - 1), s' < s
+            binom[e:, e] = np.cumsum(binom[e - 1:-1, e - 1])
         for col in columns[1:]:
             total += col
             sizes *= binom[total, col]
     return _frozen(sizes.astype(np.float64))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_SHAPES_CACHED)
 def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Class id of every dense entry, row-major, and the flat index of each class's canonical entry.
 
-    A sorted index tuple i_1 <= ... <= i_k shifted to c_j = i_j + j is a k-subset of n+k-1 values;
-    its lexicographic rank m - 1 - sum_j C(n+k-2-c_j, k-j) is the class id.  Built in blocks of
-    entries so the scratch stays small; a class's canonical entry is the one already sorted."""
+    The id is _class_id's sum of _id_steps(k, n)[i][t_i], t_i = #{l : j_l > i} over 0-based j; t_i is k - l
+    between sorted indices s_l <= s_(l+1), so the sum telescopes to rises[s_l, k - l] over l.  Built in
+    blocks so the scratch stays small; a class's canonical entry is the one already sorted."""
     m, total = _class_count(k, n), n**k
-    binom = np.array([[math.comb(s, j) for j in range(k + 1)] for s in range(n + k - 1)], dtype=np.int64)
+    rises = np.diff(np.cumsum(np.insert(_id_steps(k, n), 0, 0, axis=0), axis=0), axis=1)
     ids, canon = np.empty(total, dtype=np.min_scalar_type(m - 1)), np.empty(m, dtype=np.intp)
-    j = np.arange(k)[:, None]
     for start in range(0, total, 1 << 14):
         flat = np.arange(start, min(start + (1 << 14), total))
         idx = np.array(np.unravel_index(flat, (n,) * k))
-        ids[flat] = cls = m - 1 - binom[n + k - 2 - j - np.sort(idx, axis=0), k - j].sum(axis=0)
+        ids[flat] = cls = rises[np.sort(idx, axis=0), np.arange(k - 1, -1, -1)[:, None]].sum(axis=0)
         sorted_ = (np.diff(idx, axis=0) >= 0).all(axis=0)
         canon[cls[sorted_]] = flat[sorted_]
     return _frozen(ids), _frozen(canon)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import _class_columns, enumerate_exponents
-from .errors import DegeneratePencilError, ValidationError
+from .errors import DegeneratePencilError, ValidationError, _check_tol
 from .tensor_core import (
     SymmetricTensor,
     _complex_pair,
@@ -126,8 +126,7 @@ def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_V
         raise ValidationError(
             f"shape mismatch: decomposition ({D.order}, {D.dim}) vs tensor ({A.order}, {A.dim})"
         )
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     R = reconstruct(D)
     residual, bound = frobenius_distance(R, A), tol * (1.0 + frobenius_norm(A))
     ok = residual <= bound
@@ -390,7 +389,7 @@ def make_border_spec(
     if order < 3:
         raise ValidationError("border sequences need order >= 3")
     eps = DEFAULT_EPSILONS if epsilons is None else tuple(float(e) for e in epsilons)
-    if any(e <= 0 for e in eps):
+    if not all(e > 0 for e in eps):  # NaN fails too
         raise ValidationError("epsilon schedule must be positive")
     return BorderSequenceSpec(kind, base, order, eps)
 
@@ -421,7 +420,7 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
     the schedule that makes the approach linear, written as the two terms
     eta^2 (x + y/eta)^x3 + eta^2 (x - y/eta)^x3.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValidationError("epsilon must be positive; the witness is undefined at the limit")
     k, n = spec.order, len(spec.base_vectors[0])
     pairs = _tangent_pairs(spec)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one tolerance check."""
 
 
 class ArithmeticOverflowError(OverflowError):
@@ -7,6 +7,11 @@ class ArithmeticOverflowError(OverflowError):
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN fails too
+        raise ValidationError("tolerance must be >= 0")
 
 
 class SymmetryError(ValidationError):

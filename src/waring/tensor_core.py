@@ -6,10 +6,9 @@ value per exponent class p: the common entry a_j shared by every index tuple
 j whose multiplicity vector is p.  The compressed form is canonical; dense
 arrays are materialized on demand under a configurable entry cap.
 
-One read-only graded-lex class vector is shared with a Quantic of the same data;
-class positions come from exponents by arithmetic, kernels run over exponent tables
-cached per (k, n), and only the dense conversions map every dense entry to its class
-(1-2 bytes per entry, 8 shapes cached).  Both containers are immutable and reject non-finite values.
+One read-only graded-lex class vector is shared with a Quantic of the same data; class positions come
+from exponents by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes, and only the dense
+conversions map each dense entry to its class (1-2 bytes).  Both containers are immutable and finite-valued.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .combinatorics import (
     _class_columns, _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, as_exponent,
 )
-from .errors import CapacityError, SymmetryError, ValidationError
+from .errors import CapacityError, SymmetryError, ValidationError, _check_tol
 
 DENSE_ENTRY_CAP = 10_000_000
 _DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
@@ -118,8 +117,7 @@ def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
 
     The deviation is compared against tol * (1 + max entry magnitude).
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     worst, _, _, scale = _worst_asymmetry(A)
     return worst <= tol * (1.0 + scale)
 
@@ -147,6 +145,7 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
     The stored value is the entry at the canonical index tuple, so the
     round trip through decompress is exact for exactly symmetric input.
     """
+    _check_tol(tol)
     worst, idx, canon, scale = _worst_asymmetry(A)
     if worst > tol * (1.0 + scale):
         raise SymmetryError(
@@ -236,14 +235,12 @@ def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
 
 def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Singular values above tol times the largest column norm."""
+    _check_tol(tol)
     m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    if m.size == 0:
+    col_scale = float(np.linalg.norm(m, axis=0).max(initial=0.0))
+    if col_scale == 0.0:  # also an empty matrix
         return 0
-    col_scale = float(np.linalg.norm(m, axis=0).max())
-    if col_scale == 0.0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol * col_scale))
+    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol * col_scale))
 
 
 def coefficient_vector(S: SymmetricTensor, scaled: bool = True) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_exponent_validation():
         multinomial(())
 
 
-@pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12)])
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12), (6, 5)])
 def test_dense_tables_number_classes_in_storage_order(k, n):
     from waring.combinatorics import _class_id, _dense_tables, _exponents
 
@@ -140,7 +140,9 @@ def test_caps_bound_the_class_vector_and_the_exponent_table():
 
 
 def test_class_sizes_are_correctly_rounded_past_the_int64_range():
-    from waring.combinatorics import _class_sizes
+    import time
+
+    from waring.combinatorics import _class_size, _class_sizes
     from waring.errors import ArithmeticOverflowError
 
     assert _class_sizes(70, 2).tolist() == [float(math.comb(70, j)) for j in range(71)]
@@ -148,6 +150,24 @@ def test_class_sizes_are_correctly_rounded_past_the_int64_range():
     assert _class_sizes(10**6, 1).tolist() == [1.0]
     with pytest.raises(ArithmeticOverflowError):
         _class_sizes(1100, 2)
+    _class_sizes.cache_clear()
+    start = time.perf_counter()
+    assert _class_sizes(1028, 2).tolist() == [float(math.comb(1028, j)) for j in range(1029)]
+    assert time.perf_counter() - start < 1.0  # a table of (k+1)**2 math.comb calls took about 7 s
+    for k, n in ((100, 3), (40, 4)):
+        assert _class_sizes(k, n).tolist() == [float(_class_size(p)) for p in enumerate_exponents(k, n)]
+
+
+def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
+    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _id_steps
+
+    caches = (_id_steps, _class_columns, _class_sizes, _dense_tables)
+    (bound,) = {cache.cache_info().maxsize for cache in caches}
+    assert bound is not None
+    for n in range(2, 14):  # 12 shapes, each into every cache
+        _class_sizes(2, n)
+        _dense_tables(2, n)
+    assert all(cache.cache_info().currsize <= bound for cache in caches)
 
 
 @pytest.mark.parametrize("k,n", [(1, 1), (7, 1), (5, 2), (3, 4), (2, 9), (4, 6)])

@@ -123,6 +123,13 @@ def test_verify_passes_the_exact_pair_when_the_norm_overflows():
     assert verify(make_decomposition(3, 2, [(1.5e308, (1, 0)), (1.4e308, (0, 1))]), HUGE_PAIR, 0.1).ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_verify_refuses_negative_and_nan_tolerances(tol):
+    exact = make_decomposition(3, 2, [(1.0, (1, 0))])
+    with pytest.raises(ValidationError, match="tolerance must be >= 0"):
+        verify(exact, reconstruct(exact), tol)
+
+
 def test_verify_shape_mismatch():
     d = make_decomposition(2, 2, [(1.0, (1, 0))])
     a = SymmetricTensor(3, 2, {(3, 0): 1.0})
@@ -451,6 +458,13 @@ def test_border_sequence_rejects_nonpositive_epsilon():
     spec = make_border_spec("rank2_to_3")
     with pytest.raises(ValidationError):
         border_sequence(spec, 0.0)
+
+
+def test_border_epsilons_refuse_nan():
+    with pytest.raises(ValidationError, match="epsilon schedule"):
+        make_border_spec("rank2_to_3", epsilons=[0.5, math.nan])
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
+        border_sequence(make_border_spec("rank2_to_3"), math.nan)
 
 
 def test_border_with_custom_base_vectors():

@@ -278,3 +278,32 @@ def test_render_refuses_a_printed_coefficient_past_the_float_range(value):
     # the stored coefficient is finite; multinomial(1, 1) = 2 times it is not
     with pytest.raises(ArithmeticOverflowError, match=r"x1\*x2"):
         render_quantic(Quantic(2, 2, {(1, 1): value, (2, 0): 1.0}))
+
+
+@pytest.mark.parametrize("k", range(1026, 1033))
+def test_binary_kernels_work_exactly_while_the_largest_class_fits_a_float(k):
+    # the balanced class (k - k//2, k//2) is the largest; C(1029, 514) = 1.43e308 still fits
+    from waring.combinatorics import _class_size
+    from waring.decompose import make_decomposition, verify
+    from waring.tensor_core import frobenius_norm
+
+    p = (k - k // 2, k // 2)
+    F = Quantic(k, 2, {p: 1.0})
+    try:
+        size = _class_size(p)
+    except ArithmeticOverflowError:
+        size = None
+    calls = (
+        lambda: frobenius_norm(quantic_to_tensor(F)),
+        lambda: evaluate(F, (1.0, 1.0)),
+        lambda: verify(make_decomposition(k, 2, [(1.0, (1.0, 0.0))]), quantic_to_tensor(F)),
+    )
+    for call in calls:
+        if size is None:
+            with pytest.raises(ArithmeticOverflowError, match=f"order {k} over C\\^2"):
+                call()
+        else:
+            call()
+    assert (size is not None) == (k <= 1029)
+    if size is not None:
+        assert evaluate(F, (1.0, 1.0)) == float(size)

@@ -511,3 +511,38 @@ def test_json_exponent_past_the_int_digit_limit_is_a_validation_error(exponent):
     obj = {"format": "sym", "order": 1, "dim": 1, "coeffs": [{"exponent": exponent, "value": [1, 0]}]}
     with pytest.raises(ValidationError, match="exponent"):
         tensor_from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"format": "sym", "order": 2, "dim": 10**5000, "coeffs": []},
+        {"format": "sym", "dim": 2, "coeffs": [{"exponent": [10**5000, 1], "value": [1, 0]}]},
+    ],
+)
+def test_json_shape_past_the_int_digit_limit_is_an_overflow_error(obj):
+    # sym_dimension must not format k or n: str() of a 5001-digit int raises ValueError
+    from waring.errors import ArithmeticOverflowError
+
+    with pytest.raises(ArithmeticOverflowError, match="sym_dimension of an argument past 600 digits"):
+        tensor_from_json_obj(obj)
+
+
+_SYMMETRIC = DenseTensor(np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: is_symmetric(_SYMMETRIC, tol),
+        lambda tol: compress(_SYMMETRIC, tol),
+        lambda tol: compress(DenseTensor(np.arange(8.0).reshape(2, 2, 2)), tol),
+        lambda tol: numerical_rank(np.eye(3), tol),
+        lambda tol: power_span_rank([(1.0, 0.0), (0.0, 1.0)], 2, tol),
+    ],
+    ids=["is_symmetric", "compress", "compress_asymmetric", "numerical_rank", "power_span_rank"],
+)
+def test_negative_and_nan_tolerances_are_refused(call, tol):
+    with pytest.raises(ValidationError, match="tolerance must be >= 0"):
+        call(tol)
