@@ -49,9 +49,13 @@ def sym_dimension(k: int, n: int) -> int:
     # neither case computes a binomial that may have millions of digits
     s = min(k, n - 1)
     if s and (s >= 34 or n + k - 1 > _INT64_MAX or math.comb(n + k - 1, s) > _INT64_MAX):
-        shape = f"({k}, {n})" if max(k, n).bit_length() < 2000 else " of an argument past 600 digits"
-        raise ArithmeticOverflowError(f"sym_dimension{shape} exceeds the signed 64-bit range")
+        raise ArithmeticOverflowError(f"sym_dimension{_arguments((k, n))} exceeds the signed 64-bit range")
     return math.comb(n + k - 1, s)
+
+
+def _arguments(args: tuple[int, ...]) -> str:
+    """args as a message prints them, unless one is past int-to-string's digit limit."""
+    return f"{args}" if max(args).bit_length() < 2000 else " of an argument past 600 digits"
 
 
 def multinomial(p) -> int:
@@ -80,7 +84,7 @@ def _class_size(p: tuple[int, ...], what: str = "") -> int:
         s = min(e, total - e)
         size = math.inf if s >= 600 or (s and total > top) else size * math.comb(total, s)
         if size > top:
-            raise ArithmeticOverflowError(f"{what or f'class size multinomial({p})'} exceeds the float range")
+            raise ArithmeticOverflowError(f"{what or f'class size multinomial{_arguments(p)}'} exceeds the float range")
     return size
 
 
@@ -143,6 +147,8 @@ def _class_id(p: tuple[int, ...]) -> int:
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _id_steps(k: int, n: int) -> np.ndarray:
     """Row i, entry t: C(n-i-2+t, n-i-1), what _class_id adds for x_(i+1), below the class count."""
+    if n == 1:  # no rows, and no 1 x k square for an order that may be 10**12
+        return _frozen(np.zeros((0, k + 1), dtype=np.int64))
     square = np.ones(sorted((n, k)), dtype=np.int64)  # [a, s]: C(a+s, a), either way round
     for a in range(1, len(square)):  # one running sum per row of the shorter side, exact
         square[a] = np.cumsum(square[a - 1])
@@ -177,10 +183,10 @@ def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _class_columns(k: int, n: int) -> np.ndarray:
     """(n, m) exponents of every class in graded-lex order: entry [i, c] is the exponent of x_(i+1)."""
-    m = _class_count(k, n)
-    if m * n > TABLE_CAP:
-        raise CapacityError(f"order {k} over C^{n} needs {m * n} table entries, above the cap of {TABLE_CAP}")
-    return _frozen(_exponents(k, n, np.arange(m)))
+    entries = max(_class_count(k, n), k + 1) * n  # _monomials takes k + 1 powers of each coordinate
+    if entries > TABLE_CAP:
+        raise CapacityError(f"order {k} over C^{n} needs {entries} table entries, above the cap of {TABLE_CAP}")
+    return _frozen(_exponents(k, n, np.arange(_class_count(k, n))))
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)

@@ -51,4 +51,4 @@ class DegeneratePencilError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A forked Monte-Carlo worker raised or died before it returned its counts."""
+    """A Monte-Carlo worker thread raised before it returned its counts."""

@@ -24,19 +24,18 @@ asym222 scratch array (2**14 rows of eight float64) takes 1 MiB and fits a
 Philox draws do not depend on the shape they are requested in, so the
 normals are the same for any chunk size.
 
-`workers` above 1 runs blocks in processes forked from the caller, one block
-in the caller itself, at most one process per CPU this process may run on.
-A fork costs a few milliseconds, so each process gets at least
-MIN_FORK_TRIALS = 2**17 trials (20-40 ms of sampling) and smaller
-experiments run serially, as they do where os.fork does not exist.
+`workers` above 1 runs blocks in threads, one block in the caller itself, at
+most one block per CPU this process may run on; numpy releases the GIL in the
+Philox fills and the ufuncs, so the blocks run in parallel.  Each block gets at
+least MIN_WORKER_TRIALS = 2**17 trials (20-40 ms of sampling), so a thread
+costs little beside its work, and smaller experiments run serially.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
-from collections.abc import Callable
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from .errors import ValidationError, WorkerError
 from .tensor_core import DenseTensor, SymmetricTensor
 
 CHUNK = 1 << 14
-MIN_FORK_TRIALS = 1 << 17
+MIN_WORKER_TRIALS = 1 << 17
 UNIFORMS_PER_TRIAL = {"sym222": 4, "asym222": 8}
 _MAX_SEED = 2**128
 
@@ -195,85 +194,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_block(case: str, seed: int, lo: int, hi: int) -> Callable[[], np.ndarray | WorkerError]:
-    """Classify trials [lo, hi) in a forked child; returns a function that waits for it.
-
-    The waiting function reaps the child and returns its counts, or a WorkerError
-    naming the exception it raised or how it died.  The child sends its counts as
-    three little-endian int64 through a pipe and leaves by os._exit, so it runs no
-    atexit handler and flushes no stdio buffer it inherited.
-    """
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns when a process with threads forks, as numpy's BLAS pool makes it
-        # one.  The child runs only Philox and elementwise ufuncs, no BLAS, and exits without
-        # interpreter shutdown, so it never waits on a lock another thread held at the fork.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload, status = _run_block(case, seed, lo, hi).astype("<i8").tobytes(), 0
-            except Exception as exc:
-                payload = f"{type(exc).__name__}: {exc}".encode(errors="replace")
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-
-    def wait() -> np.ndarray | WorkerError:
-        try:
-            with open(read_fd, "rb") as pipe:
-                payload = pipe.read()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code == 0 and len(payload) == 24:
-            return np.frombuffer(payload, dtype="<i8")
-        if code < 0:
-            reason = f"was killed by signal {-code}"
-        else:
-            reason = f"raised {payload.decode(errors='replace')}" if payload else f"exited with status {code}"
-        return WorkerError(f"the worker process for trials [{lo}, {hi}) {reason}")
-
-    return wait
-
-
 def typical_rank_experiment(case: str, samples: int, seed: int, workers: int = 1) -> TrialStats:
     """Classify `samples` gaussian draws; counts are worker-count invariant.
 
-    The trial range splits into contiguous blocks, one per process: at most
-    `workers`, one per usable CPU and one per MIN_FORK_TRIALS trials.  Every
-    block but the first runs in a forked child.  Each block consumes its own
-    slice of the counter-based stream, so any worker count yields identical
-    counts for a given (case, samples, seed).
+    The trial range splits into contiguous blocks: at most `workers`, one per
+    usable CPU and one per MIN_WORKER_TRIALS trials.  The caller runs the first
+    block and a thread runs each other one.  Each block consumes its own slice
+    of the counter-based stream, so any worker count yields identical counts
+    for a given (case, samples, seed).
     """
     _check_stream(case, seed)
     if not isinstance(samples, int) or samples < 1:
         raise ValidationError("samples must be an integer >= 1")
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError("workers must be an integer >= 1")
-    procs = max(1, min(workers, _usable_cpus(), samples // MIN_FORK_TRIALS)) if hasattr(os, "fork") else 1
-    bounds = [samples * i // procs for i in range(procs + 1)]
-    waits = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            waits.append(_fork_block(case, seed, lo, hi))
-        counts = _run_block(case, seed, bounds[0], bounds[1])
-    finally:
-        results = [wait() for wait in waits]  # reaps every child, also when this block raised
-    for result in results:
-        if isinstance(result, WorkerError):
-            raise result
-        counts += result
-    return TrialStats(case, samples, seed, *counts.tolist())
+    blocks = max(1, min(workers, _usable_cpus(), samples // MIN_WORKER_TRIALS))
+    bounds = [samples * i // blocks for i in range(blocks + 1)]
+    spans = list(zip(bounds, bounds[1:]))
+    results: dict[tuple[int, int], np.ndarray | Exception] = {}
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            results[lo, hi] = _run_block(case, seed, lo, hi)
+        except Exception as exc:
+            results[lo, hi] = exc
+
+    threads = [threading.Thread(target=run, args=span, daemon=True) for span in spans[1:]]
+    for thread in threads:
+        thread.start()
+    run(*spans[0])  # a KeyboardInterrupt here propagates at once: daemon threads need no join
+    for thread in threads:
+        thread.join()
+    if isinstance(results[spans[0]], Exception):
+        raise results[spans[0]]
+    for lo, hi in spans[1:]:
+        if isinstance(exc := results[lo, hi], Exception):
+            raise WorkerError(f"the worker for trials [{lo}, {hi}) raised {type(exc).__name__}: {exc}") from exc
+    return TrialStats(case, samples, seed, *sum(results.values()).tolist())
 
 
 def stats_to_csv(stats: TrialStats) -> str:

@@ -366,17 +366,15 @@ def test_montecarlo_text_and_workers(capsys):
     assert "fraction 0.785800" in out
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or montecarlo._usable_cpus() < 2, reason="needs os.fork and two CPUs")
+@pytest.mark.skipif(montecarlo._usable_cpus() < 2, reason="needs two usable CPUs")
 def test_montecarlo_worker_failure_exits_1_with_one_error_line(capsys, monkeypatch):
-    parent = os.getpid()
-
-    def failing_in_a_child(case, seed, lo, hi):
-        if os.getpid() != parent:
+    def failing_in_a_worker(case, seed, lo, hi):
+        if lo > 0:
             raise MemoryError("injected")
         return np.zeros(3, dtype=np.int64)
 
-    monkeypatch.setattr(montecarlo, "_run_block", failing_in_a_child)
-    samples = str(2 * montecarlo.MIN_FORK_TRIALS)
+    monkeypatch.setattr(montecarlo, "_run_block", failing_in_a_worker)
+    samples = str(2 * montecarlo.MIN_WORKER_TRIALS)
     code, out, err = run(capsys, "montecarlo", "--case", "sym222", "--samples", samples, "--seed", "1", "--workers", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "MemoryError: injected" in err
@@ -422,10 +420,13 @@ def test_asymmetric_input_to_to_poly_exit_2(capsys):
     assert "symmet" in err.lower()
 
 
-@pytest.mark.parametrize("text", ["x1^70", "x1^35*x2^35", "x1^1000000*x2", "-2*x7^2 + x1*x300"])
+@pytest.mark.parametrize(
+    "text", ["x1^70", "x1^35*x2^35", "x1^1000000*x2", "-2*x7^2 + x1*x300", "x1^1000000000000"]
+)
 def test_poly_round_trip_for_high_orders_and_wide_forms(capsys, tmp_path, text):
-    # class sizes past the int64 range (C(70, 35)), a million-and-one classes,
-    # and a 300-variable quadratic: none needs an exponent table to pass through
+    # class sizes past the int64 range (C(70, 35)), a million-and-one classes, a
+    # 300-variable quadratic and a single variable of order 10^12: none needs an
+    # exponent table to pass through
     poly = tmp_path / "form.txt"
     poly.write_text(text + "\n")
     sym = tmp_path / "form.json"
@@ -472,6 +473,55 @@ def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, com
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_of_a_single_variable_past_the_table_cap_exits_2_with_one_error_line(capsys, tmp_path):
+    # order 10^12 over C^1 stores one class, but its reconstruction takes 10^12 + 1 powers
+    tensor, decomp = tmp_path / "t.json", tmp_path / "d.json"
+    tensor.write_text(json.dumps(_sym_json(10**12, 1, [{"exponent": [10**12], "value": [1, 0]}])))
+    decomp.write_text(json.dumps({
+        "order": 10**12, "dim": 1, "field": "R", "terms": [{"weight": [1, 0], "vector": [[1, 0]]}],
+    }))
+    code, out, err = run(capsys, "verify", "--tensor", str(tensor), "--decomp", str(decomp))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "table entries" in err
+
+
+_FLOAT_FLAG_COMMANDS = {
+    "--tol": (
+        "verify", "--tensor", str(FIXTURES / "a31_tensor.json"), "--decomp", str(FIXTURES / "a31_decomposition.json")
+    ),
+    "--epsilon": ("demo-border", "--kind", "rank2to3"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLOAT_FLAG_COMMANDS))
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "abc", "1e-6"])
+def test_float_flags_take_only_positive_numbers(capsys, flag, value):
+    code, _, err = run(capsys, *_FLOAT_FLAG_COMMANDS[flag], flag, value)
+    if value == "1e-6":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2 and f"argument {flag}: expected a" in err
+
+
+_MONOMIAL = {"exponent": [1, 3], "value": [0.25, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "tensor, field, message",
+    [
+        (_sym_json(3, 3), "C", "dim 2"),
+        (_sym_json(1, 2, [{"exponent": [0, 1], "value": [1, 0]}]), "C", "order >= 2"),
+        (_sym_json(4, 2, [_MONOMIAL]), "R", "pass --field C"),
+    ],
+)
+def test_decompose_monomial_rejects_what_it_cannot_decompose_exit_2(capsys, tmp_path, tensor, field, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    code, out, err = run(capsys, "decompose", "--in", str(path), "--method", "monomial", "--field", field)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_to_poly_refuses_a_coefficient_that_would_print_as_inf(capsys, tmp_path):

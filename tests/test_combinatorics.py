@@ -103,6 +103,13 @@ def test_exponent_validation():
         multinomial(())
 
 
+@pytest.mark.parametrize("p", [(10**5000, 1), (1, 10**5000)])
+def test_multinomial_past_the_float_range_does_not_format_a_huge_entry(p):
+    # str() of a 5001-digit int raises ValueError, so the message must not print the entry
+    with pytest.raises(ArithmeticOverflowError, match="multinomial of an argument past 600 digits"):
+        multinomial(p)
+
+
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12), (6, 5)])
 def test_dense_tables_number_classes_in_storage_order(k, n):
     from waring.combinatorics import _class_id, _dense_tables, _exponents

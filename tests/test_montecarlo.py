@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from waring.decompose import decompose_sym222_pencil
 from waring import montecarlo
 from waring.errors import DegeneratePencilError, ValidationError, WorkerError
 from waring.montecarlo import (
-    MIN_FORK_TRIALS,
+    MIN_WORKER_TRIALS,
     TrialStats,
     classify_asym222,
     classify_sym222,
@@ -57,6 +58,11 @@ def test_asym_trial_reshapes_row_major():
         z.append(r * math.cos(2 * math.pi * u[2 * j + 1]))
         z.append(r * math.sin(2 * math.pi * u[2 * j + 1]))
     assert t1.array.ravel().real == pytest.approx(z, abs=1e-15)
+
+
+def test_sampling_rejects_a_negative_trial_index():
+    with pytest.raises(ValidationError, match="trial index"):
+        sample_sym222(0, -1)
 
 
 def test_sampling_is_deterministic():
@@ -181,32 +187,25 @@ def test_experiment_counts_frozen_for_seed_42_at_a_million_trials(case, counts, 
     assert (s.rank2, s.rank3, s.degenerate) == counts
 
 
-can_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or montecarlo._usable_cpus() < 2, reason="needs os.fork and two usable CPUs"
-)
+two_cpus = pytest.mark.skipif(montecarlo._usable_cpus() < 2, reason="needs two usable CPUs")
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@can_fork
-def test_blocks_above_the_threshold_run_in_another_process(tmp_path, monkeypatch):
-    run_block = montecarlo._run_block
+@two_cpus
+def test_blocks_above_the_threshold_run_in_another_thread(monkeypatch):
+    run_block, idents = montecarlo._run_block, {}
 
     def recording_block(case, seed, lo, hi):
-        (tmp_path / f"{lo}-{hi}").write_text(str(os.getpid()))
+        idents[lo, hi] = threading.get_ident()
         return run_block(case, seed, lo, hi)
 
-    samples = 2 * MIN_FORK_TRIALS
+    samples = 2 * MIN_WORKER_TRIALS
     serial = typical_rank_experiment("asym222", samples, 5)
+    threads = threading.active_count()
     monkeypatch.setattr(montecarlo, "_run_block", recording_block)
     assert typical_rank_experiment("asym222", samples, 5, workers=2) == serial
-    pids = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
-    assert pids.keys() == {f"0-{MIN_FORK_TRIALS}", f"{MIN_FORK_TRIALS}-{samples}"}
-    assert pids[f"0-{MIN_FORK_TRIALS}"] == os.getpid() != pids[f"{MIN_FORK_TRIALS}-{samples}"]
-    _assert_no_child_left()
+    assert idents.keys() == {(0, MIN_WORKER_TRIALS), (MIN_WORKER_TRIALS, samples)}
+    assert idents[0, MIN_WORKER_TRIALS] == threading.get_ident() != idents[MIN_WORKER_TRIALS, samples]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("cpus", [None, 8])
@@ -214,58 +213,58 @@ def test_workers_start_at_most_one_child_per_other_cpu(monkeypatch, cpus):
     if cpus is not None:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     cpus = montecarlo._usable_cpus()
-    starts = []
+    run_block, spans = montecarlo._run_block, {}
 
-    def counting_start(case, seed, lo, hi):
-        starts.append((lo, hi))
-        return lambda: montecarlo._run_block(case, seed, lo, hi)
+    def recording_block(case, seed, lo, hi):
+        spans[lo] = (hi, threading.get_ident())
+        return run_block(case, seed, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "_fork_block", counting_start)
     serial = typical_rank_experiment("sym222", 10**6, 42)
+    monkeypatch.setattr(montecarlo, "_run_block", recording_block)
     assert typical_rank_experiment("sym222", 10**6, 42, workers=10**6) == serial
-    assert len(starts) <= cpus - 1
-    assert (len(starts) > 0) == (cpus > 1 and hasattr(os, "fork"))
-    # the children's spans are contiguous and end the range; this process ran the first span
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(starts, starts[1:]))
-    assert not starts or starts[-1][1] == 10**6
+    assert 1 <= len(spans) <= cpus
+    assert (len(spans) > 1) == (cpus > 1)
+    # the spans are contiguous and cover the range; this thread ran the first one, other threads the rest
+    los = sorted(spans)
+    assert los[0] == 0 and spans[los[-1]][0] == 10**6
+    assert all(spans[lo][0] == nxt for lo, nxt in zip(los, los[1:]))
+    assert spans[0][1] == threading.get_ident() not in {ident for lo, (_, ident) in spans.items() if lo}
 
 
-@can_fork
-@pytest.mark.parametrize("fault, message", [("raise", "RuntimeError: injected"), ("kill", "killed by signal 9")])
-def test_a_failing_worker_is_a_typed_error_and_is_reaped(monkeypatch, fault, message):
-    parent, run_block = os.getpid(), montecarlo._run_block
+@two_cpus
+def test_a_failing_worker_is_a_typed_error_and_is_joined(monkeypatch):
+    run_block = montecarlo._run_block
 
     def faulty_block(case, seed, lo, hi):
-        if os.getpid() != parent:
-            if fault == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
+        if lo > 0:
             raise RuntimeError("injected")
         return run_block(case, seed, lo, hi)
 
+    threads = threading.active_count()
     monkeypatch.setattr(montecarlo, "_run_block", faulty_block)
-    with pytest.raises(WorkerError, match=message):
-        typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 1, workers=2)
-    _assert_no_child_left()
+    with pytest.raises(WorkerError, match=rf"trials \[{MIN_WORKER_TRIALS}, {2 * MIN_WORKER_TRIALS}\) raised RuntimeError: injected"):
+        typical_rank_experiment("sym222", 2 * MIN_WORKER_TRIALS, 1, workers=2)
+    assert threading.active_count() == threads
 
 
-@can_fork
-def test_forking_under_a_thread_warning_stays_silent(monkeypatch):
-    """Python 3.12 warns when a process with threads forks; the experiment silences that one message."""
-    fork = os.fork
+@two_cpus
+def test_an_interrupt_in_the_callers_block_does_not_wait_for_the_others(monkeypatch):
+    release = threading.Event()
 
-    def warning_fork():
-        warnings.warn(
-            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return fork()
+    def block(case, seed, lo, hi):
+        if lo == 0:
+            raise KeyboardInterrupt
+        release.wait(5)  # the other block takes 5 s unless released
+        return np.zeros(3, dtype=np.int64)
 
-    monkeypatch.setattr(os, "fork", warning_fork)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stats = typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 3, workers=2)
-    assert stats == typical_rank_experiment("sym222", 2 * MIN_FORK_TRIALS, 3)
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            typical_rank_experiment("sym222", 2 * MIN_WORKER_TRIALS, 1, workers=2)
+        assert time.monotonic() - start < 1.0
+    finally:
+        release.set()
 
 
 def test_an_experiment_run_while_its_module_imports_finishes(tmp_path):

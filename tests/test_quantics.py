@@ -160,6 +160,25 @@ def test_parse_rejects_malformed_terms():
             parse_quantic(bad)
 
 
+def test_parse_rejects_a_zero_exponent_and_too_few_variables():
+    with pytest.raises(ValidationError, match="exponent must be >= 1"):
+        parse_quantic("x1^0")
+    with pytest.raises(ValidationError, match="exceeds the requested 2 variables"):
+        parse_quantic("x3^2", nvars=2)
+
+
+def test_evaluate_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="point has 3 entries, expected 2"):
+        evaluate(parse_quantic("x1*x2"), (1.0, 2.0, 3.0))
+
+
+def test_a_single_variable_of_order_10_to_the_12_needs_no_table_until_a_kernel_runs():
+    F = parse_quantic("x1^1000000000000")
+    assert F.terms == {(10**12,): 1.0} and render_quantic(F) == "x1^1000000000000"
+    with pytest.raises(CapacityError, match="1000000000001 table entries"):
+        evaluate(F, (1.0,))
+
+
 def test_parse_complex_coefficient():
     f = parse_quantic("(2+2j)*x1*x2", nvars=2)
     assert quantic_to_tensor(f).coeffs == {(1, 1): 1.0 + 1.0j}

@@ -218,6 +218,16 @@ def test_frobenius_distance_zero_iff_equal():
     assert frobenius_distance(s, u) > 0
 
 
+def test_frobenius_distance_rejects_mismatched_shapes():
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        frobenius_distance(SymmetricTensor(2, 2, {}), SymmetricTensor(2, 3, {}))
+
+
+def test_json_rejects_an_object_that_is_not_a_tensor():
+    with pytest.raises(ValidationError, match="cannot serialize object"):
+        tensor_to_json_obj(object())
+
+
 def test_json_round_trip_dense():
     rng = np.random.default_rng(20)
     a = rand_dense(rng, 3, 2)
