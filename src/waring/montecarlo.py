@@ -14,9 +14,12 @@ decomposer does, so classify_sym222 names the branch it takes over R.
 The random stream is reproducible by construction.  Draws come from a
 counter-based Philox generator, trial t consuming exactly the uniform block
 [t*m, (t+1)*m) where m is 4 for sym222 and 8 for asym222, and normals are
-produced from consecutive uniform pairs by the Box-Muller map.  A worker
-therefore starts its block by advancing the counter, and any partition of the
-trial range into workers reproduces the single-worker counts exactly.
+produced from consecutive uniform pairs (u, v) by the Box-Muller map, taken
+through t = tan(pi*v) and the half-angle identities for cos and sin of 2*pi*v,
+and through log(1-u), exact in 1-u on the 2**-53 grid of Philox uniforms.  A
+worker therefore starts its block by advancing the counter, and any partition
+of the trial range into workers reproduces the single-worker counts exactly.
+Trial indices stop below 2**256 * 4 // m, where the 256-bit counter wraps.
 
 A block is drawn and classified CHUNK = 2**14 trials at a time, so each
 asym222 scratch array (2**14 rows of eight float64) takes 1 MiB and fits a
@@ -27,7 +30,7 @@ normals are the same for any chunk size.
 `workers` above 1 runs blocks in threads, one block in the caller itself, at
 most one block per CPU this process may run on; numpy releases the GIL in the
 Philox fills and the ufuncs, so the blocks run in parallel.  Each block gets at
-least MIN_WORKER_TRIALS = 2**17 trials (20-40 ms of sampling), so a thread
+least MIN_WORKER_TRIALS = 2**17 trials (15-40 ms of sampling), so a thread
 costs little beside its work, and smaller experiments run serially.
 """
 
@@ -79,22 +82,31 @@ class TrialStats:
 def _gaussians(u: np.ndarray) -> np.ndarray:
     """Box-Muller images of consecutive uniform pairs, layout preserved.
 
-    Columns (2j, 2j+1) of u map to r*cos and r*sin with r**2 = -2 log(1-u_2j),
-    so each row of m uniforms becomes m independent standard normals.
+    Columns (2j, 2j+1) = (u, v) map to q*(1-t**2) = r*cos(2*pi*v) and
+    2*q*t = r*sin(2*pi*v) with t = tan(pi*v), q = r/(1+t**2), r**2 = -2 log(1-u):
+    numpy vectorises tan, not cos and sin.  Philox uniforms lie on the 2**-53
+    grid, where 1-u is exact, so log(1-u) is log1p(-u) up to its last rounding.
+    v = 1/2 gives t ~ 1.6e16, so t**2 stays finite.  Each row of m uniforms
+    becomes m independent standard normals.
     """
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    ang = (2.0 * np.pi) * u[:, 1::2]
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    t = np.tan(np.pi * u[:, 1::2])
+    t2 = t * t
+    q = r / (1.0 + t2)
     z = np.empty_like(u)
-    z[:, 0::2] = r * np.cos(ang)
-    z[:, 1::2] = r * np.sin(ang)
+    z[:, 0::2] = q * (1.0 - t2)
+    z[:, 1::2] = 2.0 * q * t
     return z
 
 
-def _check_stream(case: str, seed: int) -> None:
+def _check_stream(case: str, seed: int, end: int) -> None:
     if case not in UNIFORMS_PER_TRIAL:
         raise ValidationError(f"case must be one of {sorted(UNIFORMS_PER_TRIAL)}")
-    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
+    if type(seed) is not int or not 0 <= seed < _MAX_SEED:
         raise ValidationError("seed must be an integer in [0, 2**128)")
+    m = UNIFORMS_PER_TRIAL[case]
+    if end * m // 4 > 2**256:
+        raise ValidationError(f"trial index must be below 2**{256 - m // 8} for {case}, where the Philox counter wraps")
 
 
 def _stream(case: str, seed: int, lo: int, hi: int):
@@ -102,9 +114,9 @@ def _stream(case: str, seed: int, lo: int, hi: int):
 
     Not a generator function, so the arguments are checked at the call.
     """
-    _check_stream(case, seed)
-    if lo < 0:
-        raise ValidationError("trial index must be >= 0")
+    if type(lo) is not int or lo < 0:
+        raise ValidationError("trial index must be an integer >= 0")
+    _check_stream(case, seed, hi)
     m = UNIFORMS_PER_TRIAL[case]
     bg = Philox(key=seed)
     # advance counts counter ticks of four 64-bit words; lo*m is a multiple of 4
@@ -203,11 +215,11 @@ def typical_rank_experiment(case: str, samples: int, seed: int, workers: int = 1
     of the counter-based stream, so any worker count yields identical counts
     for a given (case, samples, seed).
     """
-    _check_stream(case, seed)
-    if not isinstance(samples, int) or samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ValidationError("samples must be an integer >= 1")
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValidationError("workers must be an integer >= 1")
+    _check_stream(case, seed, samples)
     blocks = max(1, min(workers, _usable_cpus(), samples // MIN_WORKER_TRIALS))
     bounds = [samples * i // blocks for i in range(blocks + 1)]
     spans = list(zip(bounds, bounds[1:]))

@@ -65,6 +65,73 @@ def test_sampling_rejects_a_negative_trial_index():
         sample_sym222(0, -1)
 
 
+@pytest.mark.parametrize(
+    "sample, index",
+    # the 256-bit Philox counter would wrap: the first two would replay trial 0
+    [(sample_sym222, 2**256), (sample_asym222, 2**255), (sample_sym222, 1.5), (sample_sym222, True)],
+    ids=["sym222-2**256", "asym222-2**255", "float", "bool"],
+)
+def test_sampling_rejects_an_index_past_the_counter_or_not_an_int(sample, index):
+    with pytest.raises(ValidationError, match="trial index"):
+        sample(0, index)
+
+
+def test_the_last_trials_before_the_counter_wraps_are_drawn():
+    assert sample_sym222(0, 2**256 - 1).coeffs != sample_sym222(0, 0).coeffs
+    assert not np.array_equal(sample_asym222(0, 2**255 - 1).array, sample_asym222(0, 0).array)
+
+
+def reference_gaussians(u):
+    """The cos/sin/log1p Box-Muller map the sampler used before the half-angle form."""
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    ang = (2.0 * np.pi) * u[:, 1::2]
+    z = np.empty_like(u)
+    z[:, 0::2] = r * np.cos(ang)
+    z[:, 1::2] = r * np.sin(ang)
+    return z
+
+
+@pytest.mark.parametrize("case", ["sym222", "asym222"])
+def test_counts_match_the_cos_sin_map(case):
+    samples, m = 1 << 17, montecarlo.UNIFORMS_PER_TRIAL[case]
+    for seed in (0, 1, 2, 3, 42, 2024, 10**9 + 7, 2**128 - 1):
+        z = reference_gaussians(Generator(Philox(key=seed)).random((samples, m)))
+        want = [int(mask.sum()) for mask in montecarlo._label_masks(case, z)]
+        s = typical_rank_experiment(case, samples, seed)
+        assert [s.rank2, s.rank3, s.degenerate] == want, seed
+
+
+def test_philox_uniforms_lie_on_the_double_grid():
+    """Multiples of 2**-53, so 1 - u is exact and log(1 - u) loses nothing to log1p(-u)."""
+    u = Generator(Philox(key=3)).random(1 << 16)
+    assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
+    assert np.array_equal((1.0 - u) + u, np.ones_like(u))
+
+
+def test_box_muller_is_finite_on_the_edge_uniforms():
+    edges = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    u = np.array([[a, b] for a in edges for b in edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = montecarlo._gaussians(u)
+    assert np.isfinite(z).all()
+    assert z[u[:, 0] == 0.0].tolist() == [[0.0, 0.0]] * len(edges)
+
+
+@pytest.mark.parametrize("case", ["sym222", "asym222"])
+def test_normals_within_4_ulp_of_the_math_formula(case):
+    """Within 4 ulp of max(r, 1) of r*cos(2 pi v), r*sin(2 pi v), r = sqrt(-2 log1p(-u))."""
+    trials, m = 1 << 16, montecarlo.UNIFORMS_PER_TRIAL[case]
+    z = np.concatenate(list(montecarlo._stream(case, 8, 0, trials))).ravel().tolist()
+    u = Generator(Philox(key=8)).random(trials * m).tolist()
+    for j in range(0, len(u), 2):
+        r = math.sqrt(-2.0 * math.log1p(-u[j]))
+        ang = 2 * math.pi * u[j + 1]
+        ulp = math.ulp(max(r, 1.0))
+        assert abs(z[j] - r * math.cos(ang)) <= 4 * ulp, j
+        assert abs(z[j + 1] - r * math.sin(ang)) <= 4 * ulp, j
+
+
 def test_sampling_is_deterministic():
     a = sample_sym222(123, 7)
     b = sample_sym222(123, 7)
@@ -178,6 +245,20 @@ def test_experiment_validates_arguments():
         typical_rank_experiment("sym222", 10, -1)
     with pytest.raises(ValidationError):
         typical_rank_experiment("sym222", 10, 0, workers=0)
+    # a bool is not an int here
+    with pytest.raises(ValidationError, match="samples"):
+        typical_rank_experiment("sym222", True, 0)
+    with pytest.raises(ValidationError, match="seed"):
+        typical_rank_experiment("sym222", 10, True)
+    with pytest.raises(ValidationError, match="workers"):
+        typical_rank_experiment("sym222", 10, 0, workers=True)
+
+
+def test_an_experiment_past_the_counter_is_refused_before_any_block_runs(monkeypatch):
+    # checked in the blocks only, the caller's first block of 2**254 trials would never finish
+    monkeypatch.setattr(montecarlo, "_run_block", lambda *span: pytest.fail(f"block {span} ran"))
+    with pytest.raises(ValidationError, match="Philox counter"):
+        typical_rank_experiment("asym222", 2**255 + 2, 0, workers=2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
