@@ -46,7 +46,7 @@ _BORDER_KIND = {"rank2to3": "rank2_to_3", "rank2tok": "rank2_to_k", "tangent": "
 
 
 def _int_at_least(low: int, what: str):
-    """argparse type: an integer >= low, described as `what` in errors."""
+    """argparse type: an integer >= low, described as `what` ("a positive integer") in errors."""
 
     def parse(text: str) -> int:
         try:
@@ -54,14 +54,14 @@ def _int_at_least(low: int, what: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
 
 
 def _positive_float(text: str) -> float:
@@ -157,29 +157,12 @@ def _cmd_from_poly(args) -> int:
     return 0
 
 
-def _monomial_decomposition(s: SymmetricTensor):
-    """Decompose a scalar multiple of z1*z2^(k-1) through the k-th roots of unity."""
-    if s.dim != 2:
-        raise ValidationError("method monomial needs a binary tensor (dim 2)")
-    k = s.order
-    if k < 2:
-        raise ValidationError("method monomial needs order >= 2")
-    pivot, coeffs = (1, k - 1), s.coeffs
-    off = max((abs(v) for p, v in coeffs.items() if p != pivot), default=0.0)
-    if pivot not in coeffs or off > 1e-12 * abs(coeffs[pivot]):
-        raise ValidationError(
-            "method monomial needs a tensor proportional to z1*z2^(k-1): "
-            f"exactly the exponent class {list(pivot)} may be nonzero"
-        )
-    return _roots_of_unity_decomposition(s)
-
-
 def _cmd_decompose(args) -> int:
     s = _load_symmetric(args.infile)
     if args.method == "monomial":
         if args.field != "C":
             raise ValidationError("method monomial decomposes over C; pass --field C")
-        decomposition = _monomial_decomposition(s)
+        decomposition = _roots_of_unity_decomposition(s)
     else:
         result = decompose_sym222_pencil(s, args.field)
         decomposition = result.decomposition
@@ -280,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(_BORDER_KIND), required=True)
     p.add_argument("--epsilon", type=_positive_float, default=0.125, help="largest epsilon")
     p.add_argument("--order", type=_positive_int, default=3, help="order for rank2tok")
-    p.add_argument("--steps", type=_positive_int, default=8, help="number of halvings")
+    p.add_argument("--steps", type=_int_at_least(2, "at least 2 epsilons"), default=8,
+                   help="number of epsilons, each half the one before (at least 2 for a slope)")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_demo_border)
 

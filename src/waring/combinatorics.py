@@ -156,10 +156,23 @@ def _id_steps(k: int, n: int) -> np.ndarray:
     return _frozen(np.hstack((np.zeros((n - 1, 1), dtype=np.int64), square[:0:-1])))
 
 
+def _id_sums(k: int, n: int) -> np.ndarray:
+    """Row s, entry t: the sum of _id_steps(k, n)[i][t] over i < s, for s = 0..n-1."""
+    return np.cumsum(np.insert(_id_steps(k, n), 0, 0, axis=0), axis=0)
+
+
 def _exponents(k: int, n: int, ids) -> np.ndarray:
-    """(n, len(ids)) exponent columns of the given graded-lex class ids: _class_id inverted."""
-    out = np.empty((n, len(ids)), dtype=np.min_scalar_type(k))
+    """(n, len(ids)) exponent columns of the given graded-lex class ids: _class_id inverted by one
+    searchsorted per variable or, with fewer degrees, one per degree finding s_l of _dense_tables' sum."""
+    out = np.zeros((n, len(ids)), dtype=np.min_scalar_type(k))
     rank, left = np.array(ids, dtype=np.int64), k
+    if n - 1 > k:
+        sums, cols = _id_sums(k, n), np.arange(len(rank))
+        for t in range(k - 1, -1, -1):
+            s = np.searchsorted(sums[:, t + 1], rank, side="right") - 1
+            rank -= sums[s, t + 1] - sums[s, t]
+            out[s, cols] += 1
+        return out
     for i, steps in enumerate(_id_steps(k, n)):
         t = np.searchsorted(steps, rank, side="right") - 1
         rank -= steps[t]
@@ -216,7 +229,7 @@ def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     between sorted indices s_l <= s_(l+1), so the sum telescopes to rises[s_l, k - l] over l.  Built in
     blocks so the scratch stays small; a class's canonical entry is the one already sorted."""
     m, total = _class_count(k, n), n**k
-    rises = np.diff(np.cumsum(np.insert(_id_steps(k, n), 0, 0, axis=0), axis=0), axis=1)
+    rises = np.diff(_id_sums(k, n), axis=1)
     ids, canon = np.empty(total, dtype=np.min_scalar_type(m - 1)), np.empty(m, dtype=np.intp)
     for start in range(0, total, 1 << 14):
         flat = np.arange(start, min(start + (1 << 14), total))

@@ -176,9 +176,19 @@ def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
 def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     """k terms over C with nodes (1, beta_i), beta_i the roots of the apolar form t^k - 1.
 
-    Exact whenever m_k equals m_0, as for every multiple of z1 * z2^(k-1).
+    Exact whenever m_k equals m_0, as for every multiple of z1 * z2^(k-1), the only tensors taken:
+    binary, of order >= 2, with no class but (1, k - 1), id k - 1, above 1e-12 of that one.
     """
+    if A.dim != 2:
+        raise ValidationError("method monomial needs a binary tensor (dim 2)")
     k = A.order
+    if k < 2:
+        raise ValidationError("method monomial needs order >= 2")
+    if np.flatnonzero(np.abs(A._vector) > 1e-12 * abs(A._vector[k - 1])).tolist() != [k - 1]:
+        raise ValidationError(
+            "method monomial needs a tensor proportional to z1*z2^(k-1): "
+            f"exactly the exponent class {[1, k - 1]} may be nonzero"
+        )
     return _sylvester(_moments(A), [(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)], "C")
 
 
@@ -370,18 +380,15 @@ def make_border_spec(
         raise ValidationError(f"kind must be one of {BORDER_KINDS}")
     wanted = 3 if kind == "tangent_sum" else 2
     if base_vectors is None:
-        base_vectors = tuple(
-            tuple(1.0 + 0j if i == j else 0j for j in range(wanted)) for i in range(wanted)
-        )
+        base_vectors = np.eye(wanted)
     base = tuple(tuple(complex(c) for c in v) for v in base_vectors)
     if len(base) != wanted:
         raise ValidationError(f"{kind} needs {wanted} base vectors, got {len(base)}")
     if len({len(v) for v in base}) != 1:
         raise ValidationError("base vectors must share one dimension")
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            if numerical_rank(np.array([base[i], base[j]])) != 2:
-                raise ValidationError(f"base vectors {i} and {j} are linearly dependent")
+    for i, j in itertools.combinations(range(len(base)), 2):
+        if numerical_rank(np.array([base[i], base[j]])) != 2:
+            raise ValidationError(f"base vectors {i} and {j} are linearly dependent")
     if order is None:
         order = 3
     if kind != "rank2_to_k" and order != 3:
@@ -444,11 +451,7 @@ def limit_decomposition(spec: BorderSequenceSpec) -> SymmetricDecomposition:
     """
     x, y = spec.base_vectors[:2]
     if spec.kind == "rank2_to_3":
-        terms = [
-            (1.0 + 0j, _vcombine(x, y, 1.0)),
-            (1.0 + 0j, _vcombine(x, y, -1.0)),
-            (-2.0 + 0j, x),
-        ]
+        terms = [(1.0 + 0j, _vcombine(x, y, 1.0)), (1.0 + 0j, _vcombine(x, y, -1.0)), (-2.0 + 0j, x)]
         return make_decomposition(3, len(x), terms)
     k, pairs = spec.order, _tangent_pairs(spec)
     mono = decompose_monomial_rank_k(k)

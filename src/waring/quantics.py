@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import _class_columns, _class_count, _class_size, _class_sizes
 from .errors import ArithmeticOverflowError, ValidationError
-from .tensor_core import SymmetricTensor, _monomials, outer_power
+from .tensor_core import SymmetricTensor, _frozen_finite, _monomials, outer_power
 
 
 class Quantic:
@@ -51,7 +51,7 @@ class Quantic:
         return self._tensor.coeffs
 
     def __repr__(self):
-        return f"Quantic(degree={self.degree}, nvars={self.nvars}, terms={len(self.terms)})"
+        return f"Quantic(degree={self.degree}, nvars={self.nvars}, terms={np.count_nonzero(self._tensor._vector)})"
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,31 @@ def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
     return F._tensor
 
 
+def _finite(value, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ArithmeticOverflowError(f"{what} overflows the float range")
+    return complex(value)
+
+
 def evaluate(F: Quantic, x) -> complex:
     """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p."""
-    point = np.array([complex(c) for c in x], dtype=np.complex128)
+    point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
     nz = vec.nonzero()[0]
-    weighted = _class_sizes(k, n)[nz] * vec[nz]
-    return complex(weighted @ _monomials(point[None, :], k, _class_columns(k, n).take(nz, axis=1))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
+        weighted = _class_sizes(k, n)[nz] * vec[nz]
+        value = weighted @ _monomials(point[None, :], k, _class_columns(k, n).take(nz, axis=1))[0]
+    return _finite(value, "the value at this point")
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:
     """Apolar bilinear form sum_p multinomial(p) a_p b_p; symmetric in (F, G)."""
     if (F.degree, F.nvars) != (G.degree, G.nvars):
-        raise ValidationError(
-            f"apolar form needs matching shapes: ({F.degree}, {F.nvars}) vs ({G.degree}, {G.nvars})"
-        )
-    weighted = _class_sizes(F.degree, F.nvars) * F._tensor._vector
-    return complex(weighted @ G._tensor._vector)
+        raise ValidationError(f"apolar form needs matching shapes: ({F.degree}, {F.nvars}) vs ({G.degree}, {G.nvars})")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
+        return _finite(_class_sizes(F.degree, F.nvars) * F._tensor._vector @ G._tensor._vector, "the apolar form")
 
 
 def veronese(L, k: int) -> Quantic:

@@ -23,9 +23,7 @@ EXCEPTIONAL_PAIRS = frozenset({(3, 5), (4, 3), (4, 4), (4, 5)})
 
 def _validate_pair(k: int, n: int) -> None:
     if k <= 2:
-        raise UnsupportedOrderError(
-            f"generic-rank formulas need order k >= 3, got k = {k}"
-        )
+        raise UnsupportedOrderError(f"generic-rank formulas need order k >= 3, got k = {k}")
     if n < 2:
         raise ValidationError(f"generic-rank formulas need dimension n >= 2, got n = {n}")
 
@@ -34,42 +32,6 @@ def is_exceptional(k: int, n: int) -> bool:
     """True on the four pairs where the generic rank exceeds the naive count."""
     _validate_pair(k, n)
     return (k, n) in EXCEPTIONAL_PAIRS
-
-
-def generic_symmetric_rank(k: int, n: int) -> int:
-    """ceil(C(n+k-1, k) / n), plus one on the four exceptional pairs."""
-    return symmetric_rank_bounds(k, n)[0] + is_exceptional(k, n)
-
-
-def symmetric_rank_bounds(k: int, n: int) -> tuple[int, int]:
-    """(ceil(C(n+k-1, k)/n), C(n+k-2, k-1)); the generic rank lies between."""
-    _validate_pair(k, n)
-    lower = -(-sym_dimension(k, n) // n)
-    upper = sym_dimension(k - 1, n)
-    return lower, upper
-
-
-def fiber_dimension(k: int, n: int) -> int:
-    """Free parameters of a generic decomposition: n * rank - C(n+k-1, k)."""
-    _validate_pair(k, n)
-    return n * generic_symmetric_rank(k, n) - sym_dimension(k, n)
-
-
-def finitely_many_generic_decompositions(k: int, n: int) -> bool:
-    """True iff n divides C(n+k-1, k); undefined on the exceptional pairs."""
-    _validate_pair(k, n)
-    if (k, n) in EXCEPTIONAL_PAIRS:
-        raise NotApplicableError(
-            f"finiteness criterion is not applicable on the exceptional pair ({k}, {n})"
-        )
-    return sym_dimension(k, n) % n == 0
-
-
-def max_symmetric_rank_binary(k: int) -> int:
-    """Maximal symmetric rank over C^2 at order k: exactly k."""
-    if k < 1:
-        raise ValidationError("order k must be >= 1")
-    return k
 
 
 @dataclass(frozen=True)
@@ -87,21 +49,47 @@ class RankReport:
 
 
 def rank_report(k: int, n: int) -> RankReport:
-    """Assemble the full report; finiteness is None on the exceptional pairs."""
-    lower, upper = symmetric_rank_bounds(k, n)
+    """Every closed form, each stated once; finiteness is None on the exceptional pairs."""
     exceptional = is_exceptional(k, n)
+    size, upper = sym_dimension(k, n), sym_dimension(k - 1, n)
+    lower = -(-size // n)
+    rank = lower + exceptional
     return RankReport(
-        order=k,
-        dim=n,
-        generic_rank=generic_symmetric_rank(k, n),
-        is_exception=exceptional,
-        lower_bound=lower,
-        upper_bound=upper,
-        fiber_dim=fiber_dimension(k, n),
-        finitely_many_decompositions=(
-            None if exceptional else finitely_many_generic_decompositions(k, n)
-        ),
+        order=k, dim=n, generic_rank=rank, is_exception=exceptional, lower_bound=lower,
+        upper_bound=upper, fiber_dim=n * rank - size,
+        finitely_many_decompositions=None if exceptional else size % n == 0,
     )
+
+
+def generic_symmetric_rank(k: int, n: int) -> int:
+    """ceil(C(n+k-1, k) / n), plus one on the four exceptional pairs."""
+    return rank_report(k, n).generic_rank
+
+
+def symmetric_rank_bounds(k: int, n: int) -> tuple[int, int]:
+    """(ceil(C(n+k-1, k)/n), C(n+k-2, k-1)); the generic rank lies between."""
+    report = rank_report(k, n)
+    return report.lower_bound, report.upper_bound
+
+
+def fiber_dimension(k: int, n: int) -> int:
+    """Free parameters of a generic decomposition: n * rank - C(n+k-1, k)."""
+    return rank_report(k, n).fiber_dim
+
+
+def finitely_many_generic_decompositions(k: int, n: int) -> bool:
+    """True iff n divides C(n+k-1, k); undefined on the exceptional pairs."""
+    finite = rank_report(k, n).finitely_many_decompositions
+    if finite is None:
+        raise NotApplicableError(f"finiteness criterion is not applicable on the exceptional pair ({k}, {n})")
+    return finite
+
+
+def max_symmetric_rank_binary(k: int) -> int:
+    """Maximal symmetric rank over C^2 at order k: exactly k."""
+    if k < 1:
+        raise ValidationError("order k must be >= 1")
+    return k
 
 
 def _grid_table(cell, k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:

@@ -99,7 +99,7 @@ class SymmetricTensor:
         return dict(zip(_class_keys(self.order, self.dim, nz), self._vector[nz].tolist()))
 
     def __repr__(self):
-        return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={len(self.coeffs)})"
+        return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={np.count_nonzero(self._vector)})"
 
 
 def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float]:
@@ -236,10 +236,12 @@ def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
 def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Singular values above tol times the largest column norm."""
     _check_tol(tol)
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    col_scale = float(np.linalg.norm(m, axis=0).max(initial=0.0))
-    if col_scale == 0.0:  # also an empty matrix
+    m = _frozen_finite(np.atleast_2d(np.array(matrix, dtype=np.complex128)), "matrix entries")
+    top = float(np.maximum(abs(m.real), abs(m.imag)).max(initial=0.0))
+    if top == 0.0:  # also an empty matrix
         return 0
+    m = m / top  # so no column norm overflows or underflows
+    col_scale = float(np.linalg.norm(m, axis=0).max())
     return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol * col_scale))
 
 

@@ -538,3 +538,18 @@ def test_symmetrize_has_no_tol_flag(capsys):
     code, out, err = run(capsys, "symmetrize", "--in", str(FIXTURES / "a31_tensor.json"), "--tol", "1e-3")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --tol" in err
+
+
+def test_demo_border_steps_counts_epsilons(capsys):
+    code, out, _ = run(capsys, "demo-border", "--kind", "rank2to3", "--steps", "2", "--csv")
+    assert code == 0
+    assert out.splitlines() == ["epsilon,distance", "0.125,0.25", "0.0625,0.125"]
+
+
+def test_demo_border_refuses_one_step_at_parse_time(capsys, monkeypatch):
+    import waring.cli
+
+    monkeypatch.setattr(waring.cli, "_cmd_demo_border", lambda args: pytest.fail("the handler ran"))
+    code, out, err = run(capsys, "demo-border", "--kind", "rank2to3", "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "argument --steps: expected at least 2" in err

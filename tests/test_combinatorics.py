@@ -197,3 +197,52 @@ def test_class_ids_of_wide_and_tall_shapes_need_no_table():
     assert _class_id((1, 0) + (0,) * 298) == 0 and _class_id((0,) * 299 + (2,)) == math.comb(301, 2) - 1
     assert _class_id((10**6, 1)) == 1
     assert _class_keys(10**6 + 1, 2, np.array([1, 10**6 + 1])) == [(10**6, 1), (0, 10**6 + 1)]
+
+
+def _cwr_exponents(k, n, ids):
+    """Exponent tuples of the given positions of itertools.combinations_with_replacement order."""
+    import itertools
+
+    wanted, out = set(ids), {}
+    for c, combo in enumerate(itertools.combinations_with_replacement(range(n), k)):
+        if c in wanted:
+            out[c] = tuple(np.bincount(np.array(combo, dtype=np.intp), minlength=n).tolist())
+            if len(out) == len(wanted):
+                break
+    return [out[c] for c in ids]
+
+
+@pytest.mark.parametrize(
+    "k,n,ids",
+    [
+        (0, 5, None), (1, 1000, None), (3, 4, None), (3, 10, None), (3, 40, None), (4, 8, None),
+        (5, 12, None), (2, 300, [*range(0, 45_150, 101), 45_149]), (1, 10**5, [0, 1, 12_345, 99_999]),
+    ],
+)
+def test_exponents_walk_either_side_in_combinations_order(k, n, ids):
+    # with more variables than degrees the walk goes over the k degrees, not the n - 1 variables
+    from waring.combinatorics import _class_id, _exponents
+
+    ids = list(range(sym_dimension(k, n))) if ids is None else ids
+    exps = [tuple(p) for p in _exponents(k, n, np.array(ids)).T.tolist()]
+    assert exps == _cwr_exponents(k, n, ids)
+    assert [_class_id(p) for p in exps] == ids
+
+
+def test_exponents_of_a_tall_binary_shape():
+    from waring.combinatorics import _class_id, _exponents
+
+    k = 10**6 + 1
+    assert _exponents(k, 2, [0, 777_777]).T.tolist() == [[k, 0], [k - 777_777, 777_777]]
+    assert _class_id((k - 777_777, 777_777)) == 777_777
+
+
+def test_first_coeffs_of_a_wide_order_1_tensor_is_fast():
+    import time
+
+    from waring.tensor_core import SymmetricTensor
+
+    s = SymmetricTensor(1, 10**6, {(0,) * 999_999 + (1,): 1.0})
+    start = time.perf_counter()
+    assert s.coeffs == {(0,) * 999_999 + (1,): 1.0}
+    assert time.perf_counter() - start < 1.0  # one searchsorted per variable took 8 s

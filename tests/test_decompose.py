@@ -172,6 +172,46 @@ def test_monomial_k2_is_the_classical_identity():
     assert weights == pytest.approx([-0.25, 0.25])
 
 
+
+def _proportional_to_the_monomial(coeffs, k):
+    """The rule the monomial method states: only the class (1, k - 1) above 1e-12 of it."""
+    pivot = coeffs.get((1, k - 1), 0)
+    off = max((abs(v) for p, v in coeffs.items() if p != (1, k - 1)), default=0.0)
+    return pivot != 0 and off <= 1e-12 * abs(pivot)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(1, 3): 2.0},
+        {(1, 3): 2.0, (4, 0): 2e-12, (0, 4): -2e-12j},
+        {(1, 3): 2.0, (2, 2): 2.1e-12},
+        {(1, 3): 1e-300, (3, 1): 1e-300},
+        {(2, 2): 1.0},
+        {},
+    ],
+)
+def test_the_monomial_method_takes_multiples_of_z1_z2_cubed_and_nothing_else(coeffs):
+    from waring.decompose import _roots_of_unity_decomposition
+
+    A = SymmetricTensor(4, 2, coeffs)
+    if _proportional_to_the_monomial(coeffs, 4):
+        assert verify(_roots_of_unity_decomposition(A), A).ok
+    else:
+        with pytest.raises(ValidationError, match=r"proportional to z1\*z2\^\(k-1\): exactly the exponent class \[1, 3\]"):
+            _roots_of_unity_decomposition(A)
+
+
+@pytest.mark.parametrize(
+    "A, message", [(SymmetricTensor(3, 3, {(1, 1, 1): 1.0}), "dim 2"), (SymmetricTensor(1, 2, {(0, 1): 1.0}), "order >= 2")]
+)
+def test_the_monomial_method_states_its_shape_rule(A, message):
+    from waring.decompose import _roots_of_unity_decomposition
+
+    with pytest.raises(ValidationError, match=message):
+        _roots_of_unity_decomposition(A)
+
+
 # --- 2x2x2 pencil decomposition -----------------------------------------------
 
 

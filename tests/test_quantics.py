@@ -326,3 +326,36 @@ def test_binary_kernels_work_exactly_while_the_largest_class_fits_a_float(k):
     assert (size is not None) == (k <= 1029)
     if size is not None:
         assert evaluate(F, (1.0, 1.0)) == float(size)
+
+
+@pytest.mark.parametrize("point", [[math.nan, 0], [math.inf, 1], [1, complex(0, -math.inf)]])
+def test_evaluate_rejects_a_non_finite_point(point):
+    with pytest.raises(ValidationError, match="finite"):
+        evaluate(parse_quantic("x1^3 + 2*x1*x2^2"), point)
+
+
+@pytest.mark.parametrize("point", [[1e200, 1e200], [1e103, 1e103]])
+def test_evaluate_past_the_float_range_is_a_typed_error(point):
+    # pytest turns numpy's RuntimeWarning into an error, so this also asserts there is none
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        evaluate(parse_quantic("x1^3 + 2*x1*x2^2"), point)
+
+
+def test_apolar_form_past_the_float_range_is_a_typed_error():
+    F = parse_quantic("1e300*x1^2")
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        apolar_form(F, F)
+    assert apolar_form(F, parse_quantic("1e-300*x1^2")) == pytest.approx(1.0)
+
+
+def test_repr_counts_classes_without_unranking(monkeypatch):
+    import waring.combinatorics
+
+    F = parse_quantic("x1^3 + x2^3 + x3^3 + x1*x2*x3 + x1^2*x2 + x1^2*x3 + x2^2*x1 + x2^2*x3 + x3^2*x1 + x3^2*x2")
+
+    def refuse(*args):
+        raise AssertionError("repr unranked a class")
+
+    monkeypatch.setattr(waring.combinatorics, "_exponents", refuse)
+    assert repr(F) == "Quantic(degree=3, nvars=3, terms=10)"
+    assert repr(quantic_to_tensor(F)) == "SymmetricTensor(order=3, dim=3, classes=10)"

@@ -556,3 +556,16 @@ _SYMMETRIC = DenseTensor(np.ones((2, 2, 2)))
 def test_negative_and_nan_tolerances_are_refused(call, tol):
     with pytest.raises(ValidationError, match="tolerance must be >= 0"):
         call(tol)
+
+
+@pytest.mark.parametrize("matrix", [[[math.inf, 1]], [[1, math.nan]], [[1, complex(0, math.inf)]]])
+def test_numerical_rank_rejects_a_non_finite_entry(matrix):
+    with pytest.raises(ValidationError, match="finite"):
+        numerical_rank(matrix)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_numerical_rank_of_huge_or_tiny_entries(scale):
+    # the column norms of the unscaled matrix overflow or underflow, which read as rank 0
+    assert numerical_rank([[scale], [scale]]) == 1
+    assert numerical_rank(scale * np.array([[1, 1], [1, 1j]])) == 2
