@@ -5,9 +5,10 @@ order-k symmetric tensor over C^n; an index tuple j = (j1, ..., jk) over {1, ...
 one dense entry, whose class is the multiplicity vector of its values.  Both are int tuples.
 
 The per-(k, n) tables that tensor_core's kernels read take each decision by one rule: classes
-are numbered by the graded-lex steps of _id_steps, a shape's class sizes fit a float exactly when
-its largest (balanced) class does, and each table cache keeps the 8 latest shapes.  Public integer
-counts are checked against the signed 64-bit range, so no wraparound or infinity reaches a kernel.
+are numbered by the graded-lex steps summed in _id_sums, a shape's class sizes fit a float
+exactly when its largest (balanced) class does, and each table cache keeps the 8 latest shapes.
+Public integer counts are checked against the signed 64-bit range, so no wraparound or infinity
+reaches a kernel.
 """
 
 from __future__ import annotations
@@ -145,20 +146,15 @@ def _class_id(p: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)
-def _id_steps(k: int, n: int) -> np.ndarray:
-    """Row i, entry t: C(n-i-2+t, n-i-1), what _class_id adds for x_(i+1), below the class count."""
-    if n == 1:  # no rows, and no 1 x k square for an order that may be 10**12
-        return _frozen(np.zeros((0, k + 1), dtype=np.int64))
-    square = np.ones(sorted((n, k)), dtype=np.int64)  # [a, s]: C(a+s, a), either way round
+def _id_sums(k: int, n: int) -> np.ndarray:
+    """Row s, entry t: C(n-1+t, t) - C(n-1-s+t, t), s = 0..n-1, the sum over x_1..x_s of what _class_id
+    adds for a variable that leaves degree t; rows i+1 and i differ by its step for x_(i+1),
+    C(n-i-2+t, n-i-1).  Every entry is below the class count."""
+    square = np.ones(sorted((n, k + 1)), dtype=np.int64)  # [a, t]: C(a+t, a), either way round
     for a in range(1, len(square)):  # one running sum per row of the shorter side, exact
         square[a] = np.cumsum(square[a - 1])
-    square = square.T if n > k else square
-    return _frozen(np.hstack((np.zeros((n - 1, 1), dtype=np.int64), square[:0:-1])))
-
-
-def _id_sums(k: int, n: int) -> np.ndarray:
-    """Row s, entry t: the sum of _id_steps(k, n)[i][t] over i < s, for s = 0..n-1."""
-    return np.cumsum(np.insert(_id_steps(k, n), 0, 0, axis=0), axis=0)
+    square = square.T if n > k + 1 else square
+    return _frozen(square[-1] - square[::-1])
 
 
 def _exponents(k: int, n: int, ids) -> np.ndarray:
@@ -166,14 +162,18 @@ def _exponents(k: int, n: int, ids) -> np.ndarray:
     searchsorted per variable or, with fewer degrees, one per degree finding s_l of _dense_tables' sum."""
     out = np.zeros((n, len(ids)), dtype=np.min_scalar_type(k))
     rank, left = np.array(ids, dtype=np.int64), k
+    if n == 1:  # no table for an order that may be 10**12
+        out[0] = k
+        return out
+    sums = _id_sums(k, n)
     if n - 1 > k:
-        sums, cols = _id_sums(k, n), np.arange(len(rank))
+        cols = np.arange(len(rank))
         for t in range(k - 1, -1, -1):
             s = np.searchsorted(sums[:, t + 1], rank, side="right") - 1
             rank -= sums[s, t + 1] - sums[s, t]
             out[s, cols] += 1
         return out
-    for i, steps in enumerate(_id_steps(k, n)):
+    for i, steps in enumerate(np.diff(sums, axis=0)):
         t = np.searchsorted(steps, rank, side="right") - 1
         rank -= steps[t]
         out[i], left = left - t, t
@@ -225,7 +225,7 @@ def _class_sizes(k: int, n: int) -> np.ndarray:
 def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Class id of every dense entry, row-major, and the flat index of each class's canonical entry.
 
-    The id is _class_id's sum of _id_steps(k, n)[i][t_i], t_i = #{l : j_l > i} over 0-based j; t_i is k - l
+    The id is _class_id's sum of its steps for x_(i+1) at t_i = #{l : j_l > i} over 0-based j; t_i is k - l
     between sorted indices s_l <= s_(l+1), so the sum telescopes to rises[s_l, k - l] over l.  Built in
     blocks so the scratch stays small; a class's canonical entry is the one already sorted."""
     m, total = _class_count(k, n), n**k

@@ -3,10 +3,11 @@
 Binary tensors go through one route, Sylvester's: the nodes are the
 homogeneous roots of a form apolar to the moments m_j = a_(k-j, j), and one
 Vandermonde solve gives the weights.  The apolar form is t^k - 1 for the
-monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors over R
-or C, real rank 3 included.  Three border-rank sequences, sums of tangents,
-have members of low symmetric rank but limits that do not.  A universal
-verifier measures any stated decomposition against any target tensor.
+monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors; over R
+with a negative discriminant it is a closed-form cubic whose three real roots
+lie 60 degrees apart.  Three border-rank sequences, sums of tangents, have
+members of low symmetric rank but limits that do not.  A universal verifier
+measures any stated decomposition against any target tensor.
 
 Decomposition terms are normalized so the first nonzero component of each
 vector is 1, with the scale absorbed into the weight, and sorted by the
@@ -28,6 +29,7 @@ from .tensor_core import (
     SymmetricTensor,
     _complex_pair,
     _monomials,
+    _pow2_exponent,
     _read_pair,
     _read_size,
     frobenius_distance,
@@ -148,6 +150,15 @@ def _moments(A: SymmetricTensor) -> list[complex]:
     return A._vector.tolist()
 
 
+def _magnitude(values) -> tuple[float, list, float]:
+    """(p, values / p, s), p = 2^e for the _pow2_exponent e of the largest |re| or |im|: s, the largest
+    modulus of values / p, is below 2^1.5, and p * s is that of values, found with no abs that overflows."""
+    top = max(max(map(abs, [v.real for v in values])), max(map(abs, [v.imag for v in values])))
+    p = 2.0 ** _pow2_exponent(top)
+    scaled = [v / p for v in values]
+    return p, scaled, max(map(abs, scaled))
+
+
 def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
     """Decomposition with homogeneous nodes (alpha_i, beta_i), roots of a form apolar to m.
 
@@ -158,7 +169,7 @@ def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
     product overflows.
     """
     k = len(m) - 1
-    scale = max(abs(v) for v in m)
+    p, scaled, scale = _magnitude(m)
     eps = np.finfo(float).eps
     points = [
         tuple(c / s if abs(c) > eps * s else 0.0 for c in node)
@@ -166,10 +177,10 @@ def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
         for s in [max(abs(node[0]), abs(node[1]))]
     ]
     vander = np.array([[x ** (k - j) * y**j for x, y in points] for j in range(k + 1)])
-    rhs = np.array(m) / scale
+    rhs = np.array(scaled) / scale
     if field_tag == "R":
         vander, rhs = vander.real, rhs.real
-    weights = scale * np.linalg.lstsq(vander, rhs, rcond=None)[0]
+    weights = p * (scale * np.linalg.lstsq(vander, rhs, rcond=None)[0])
     return make_decomposition(k, 2, zip(weights.tolist(), points), field_tag=field_tag)
 
 
@@ -184,7 +195,8 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     k = A.order
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
-    if np.flatnonzero(np.abs(A._vector) > 1e-12 * abs(A._vector[k - 1])).tolist() != [k - 1]:
+    size = np.abs(_magnitude(_moments(A))[1])
+    if np.flatnonzero(size > 1e-12 * size[k - 1]).tolist() != [k - 1]:
         raise ValidationError(
             "method monomial needs a tensor proportional to z1*z2^(k-1): "
             f"exactly the exponent class {[1, k - 1]} may be nonzero"
@@ -241,12 +253,12 @@ def _pencil_rule(a, b, c):
 
 def _scaled_entries(values: list, field: str) -> tuple[list, list]:
     """values, real parts only over R (checked real), and values over their largest magnitude."""
-    scale = max(abs(v) for v in values)
+    p, scaled, scale = _magnitude(values)  # compared and divided over p, so nothing overflows
     if field == "R":
-        if max(abs(v.imag) for v in values) > REAL_FIELD_TOL * (1.0 + scale):
+        if max(abs(v.imag) for v in scaled) > REAL_FIELD_TOL * (1.0 / p + scale):
             raise ValidationError("field R needs a real tensor")
-        values = [v.real for v in values]
-    return values, [v / (scale or 1.0) for v in values]
+        values, scaled = [v.real for v in values], [v.real / p for v in values]
+    return values, [v / (scale or 1.0) for v in scaled]
 
 
 def _require_sym222(A: SymmetricTensor) -> None:
@@ -275,8 +287,12 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     special case.  One least-squares Vandermonde solve gives the weights.
     Over R with complex-conjugate roots no real two-term decomposition exists
     and a verified three-term real decomposition is returned instead,
-    classified real_rank_3.  Degenerate pencils (zero or constant
-    determinant, double eigenvalue) raise DegeneratePencilError.
+    classified real_rank_3: its nodes (cos phi, sin phi), phi = theta + j pi/3,
+    are the roots of the cubic g = cos 3theta (3 s^2 t - t^3) - sin 3theta (s^3 - 3 s t^2),
+    which is apolar, sum_j g_j m_j = 0, when cos 3theta (3 m1 - m3) = sin 3theta (m0 - 3 m2).
+    3theta is taken in [0, pi), by an exact fmod, so no node lies at 180 degrees.
+    Degenerate pencils (zero or constant determinant, double eigenvalue) raise
+    DegeneratePencilError.
     """
     _require_sym222(A)
     if field not in ("R", "C"):
@@ -288,46 +304,15 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
         if hit:
             raise DegeneratePencilError(condition)
     if field == "R" and disc < 0:
-        return PencilResult("real_rank_3", _real_rank3_decomposition(A, m))
+        turn = math.fmod(math.atan2(3 * unit[1] - unit[3], unit[0] - 3 * unit[2]) + math.pi, math.pi)
+        nodes = [(math.cos(phi), math.sin(phi)) for phi in ((turn + j * math.pi) / 3 for j in range(3))]
+        decomposition = _sylvester(m, nodes, "R")
+        if not verify(decomposition, A).ok:
+            raise DegeneratePencilError("no real three-term decomposition verifies")
+        return PencilResult("real_rank_3", decomposition)
     sq = cmath.sqrt(disc)
     q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
     return PencilResult("rank_2", _sylvester(m, [(q, a), (c, q)], field))
-
-
-_RANK3_PAIRS = tuple(itertools.combinations(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)), 2))
-
-
-def _sine(u, v) -> float:
-    """|sin| of the angle between two real vectors; 0 when either vanishes."""
-    norms = math.hypot(*u) * math.hypot(*v)
-    return abs(u[0] * v[1] - u[1] * v[0]) / norms if norms else 0.0
-
-
-def _real_rank3_decomposition(A: SymmetricTensor, m: list[float]) -> SymmetricDecomposition:
-    """Three real powers of linear forms summing to a real 2x2x2 tensor.
-
-    A cubic form g is apolar to A when sum_j g_j m_j = 0.  With g = h * l and
-    h = l_P l_Q the quadratic vanishing at two real nodes P and Q, that reads
-    l(H h) = 0 for the 2x3 catalecticant H, so the third root of g is the
-    node R = H h.  Of the six pairs of the four fixed nodes (1, 0), (0, 1),
-    (1, 1), (1, -1) the one whose three nodes are most separated is kept: R
-    can fall on P or Q for at most five of them.  The result is verified once.
-    """
-    top = max(abs(v) for v in m)
-
-    def with_third_node(P, Q):
-        # l_P l_Q = (p1 s - p0 t)(q1 s - q0 t) in the basis s^2, s t, t^2
-        h = (P[1] * Q[1], -(P[1] * Q[0] + P[0] * Q[1]), P[0] * Q[0])
-        return P, Q, tuple(sum(hj * mj / top for hj, mj in zip(h, m[r : r + 3])) for r in (0, 1))
-
-    def separation(nodes):
-        return min(_sine(u, v) for u, v in itertools.combinations(nodes, 2))
-
-    nodes = max(itertools.starmap(with_third_node, _RANK3_PAIRS), key=separation)
-    decomposition = _sylvester(m, nodes, "R")
-    if not verify(decomposition, A).ok:
-        raise DegeneratePencilError("no real three-term decomposition verifies")
-    return decomposition
 
 
 def _vcombine(u, v, s) -> tuple[complex, ...]:

@@ -12,6 +12,7 @@ The bilinear form over C induces no norm, so none is provided.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .combinatorics import _class_columns, _class_count, _class_size, _class_sizes
 from .errors import ArithmeticOverflowError, ValidationError
-from .tensor_core import SymmetricTensor, _frozen_finite, _monomials, outer_power
+from .tensor_core import SymmetricTensor, _frozen_finite, _monomials, _pow2_exponent, outer_power
 
 
 class Quantic:
@@ -83,16 +84,22 @@ def _finite(value, what: str) -> complex:
 
 
 def evaluate(F: Quantic, x) -> complex:
-    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p."""
+    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p, as 2^(ek) F(x / 2^e),
+    e the _pow2_exponent of the largest |re| or |im| of x, so only a value past the float range overflows."""
     point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
     nz = vec.nonzero()[0]
+    e = _pow2_exponent(np.maximum(abs(point.real), abs(point.imag)).max())
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
         weighted = _class_sizes(k, n)[nz] * vec[nz]
-        value = weighted @ _monomials(point[None, :], k, _class_columns(k, n).take(nz, axis=1))[0]
-    return _finite(value, "the value at this point")
+        value = weighted @ _monomials(point[None, :] / 2.0**e, k, _class_columns(k, n).take(nz, axis=1))[0]
+    value = _finite(value, "the value at this point")
+    try:
+        return complex(math.ldexp(value.real, e * k), math.ldexp(value.imag, e * k))
+    except OverflowError:  # math.ldexp raises where the scaled-back value passes the float range
+        raise ArithmeticOverflowError("the value at this point overflows the float range") from None
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:

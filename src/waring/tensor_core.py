@@ -29,6 +29,12 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
 
+def _pow2_exponent(top: float) -> int:
+    """e with 2^e <= top < 2^(e+1), but at least -1022 so that 2^-e is finite too: dividing by 2^e
+    is then exact above the subnormal range, and leaves top below 2."""
+    return max(math.frexp(top)[1] - 1, -1022)
+
+
 def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")

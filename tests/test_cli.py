@@ -524,6 +524,26 @@ def test_decompose_monomial_rejects_what_it_cannot_decompose_exit_2(capsys, tmp_
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+_PAST_THE_RANGE = {"exponent": [1, 2], "value": [1.7e308, 1.7e308]}  # modulus 2.4e308, past the float range
+
+
+def test_decompose_pencil_of_an_entry_past_the_float_range_in_modulus_exit_1(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(_sym_json(3, 2, [_PAST_THE_RANGE, {"exponent": [3, 0], "value": [1, 0]}])))
+    code, out, err = run(capsys, "decompose", "--in", str(path), "--method", "pencil")
+    assert (code, out, err) == (1, "", "error: degenerate pencil: double eigenvalue\n")
+
+
+def test_decompose_monomial_of_an_entry_past_the_float_range_in_modulus_verifies(capsys, tmp_path):
+    tensor, decomp = tmp_path / "t.json", tmp_path / "d.json"
+    tensor.write_text(json.dumps(_sym_json(3, 2, [_PAST_THE_RANGE])))
+    code, _, err = run(capsys, "decompose", "--in", str(tensor), "--method", "monomial", "--out", str(decomp))
+    assert (code, err) == (0, "")
+    assert len(json.loads(decomp.read_text())["terms"]) == 3
+    code, out, _ = run(capsys, "verify", "--tensor", str(tensor), "--decomp", str(decomp))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_to_poly_refuses_a_coefficient_that_would_print_as_inf(capsys, tmp_path):
     # multinomial(1, 1) * 1e308 overflows: printing inf would give text that from-poly rejects
     path = tmp_path / "t.json"

@@ -166,15 +166,33 @@ def test_class_sizes_are_correctly_rounded_past_the_int64_range():
 
 
 def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
-    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _id_steps
+    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _id_sums
 
-    caches = (_id_steps, _class_columns, _class_sizes, _dense_tables)
+    caches = (_id_sums, _class_columns, _class_sizes, _dense_tables)
     (bound,) = {cache.cache_info().maxsize for cache in caches}
     assert bound is not None
     for n in range(2, 14):  # 12 shapes, each into every cache
         _class_sizes(2, n)
         _dense_tables(2, n)
     assert all(cache.cache_info().currsize <= bound for cache in caches)
+
+
+@pytest.mark.parametrize("k,n", [(0, 5), (1, 2), (3, 4), (3, 10), (4, 6), (5, 5), (2, 300), (1, 1000), (1028, 2)])
+def test_id_sums_add_up_the_class_id_steps(k, n):
+    from waring.combinatorics import _id_sums
+
+    steps = [[math.comb(n - i - 2 + t, n - i - 1) for t in range(k + 1)] for i in range(n - 1)]
+    assert _id_sums(k, n).tolist() == np.cumsum([[0] * (k + 1)] + steps, axis=0).tolist()
+
+
+def test_a_second_exponents_call_builds_no_table():
+    from waring.combinatorics import _exponents, _id_sums
+
+    ids = np.arange(sym_dimension(3, 10))
+    _exponents(3, 10, ids)
+    misses = _id_sums.cache_info().misses
+    assert _exponents(3, 10, ids).tolist() == _exponents(3, 10, ids).tolist()
+    assert _id_sums.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("k,n", [(1, 1), (7, 1), (5, 2), (3, 4), (2, 9), (4, 6)])

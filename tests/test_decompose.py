@@ -242,11 +242,10 @@ def test_fixture_cubic_real_rank_three():
     d = res.decomposition
     assert d.field_tag == "R" and len(d.terms) == 3
     assert verify(d, a, 1e-12).ok
-    # the classical identity 1/2 (x+y)^3 + 1/2 (x-y)^3 - 2 x^3
-    table = {v: w for w, v in d.terms}
-    assert table[(1.0, 1.0)] == pytest.approx(0.5)
-    assert table[(1.0, -1.0)] == pytest.approx(0.5)
-    assert table[(1.0, 0.0)] == pytest.approx(-2.0)
+    # nodes 60 degrees apart: -4/3 x^3 + 1/6 (x + sqrt(3) y)^3 + 1/6 (x - sqrt(3) y)^3
+    assert [v[0] for _, v in d.terms] == [1.0, 1.0, 1.0]
+    assert [v[1] for _, v in d.terms] == pytest.approx([-math.sqrt(3), 0.0, math.sqrt(3)])
+    assert [w for w, _ in d.terms] == pytest.approx([1 / 6, -4 / 3, 1 / 6])
 
 
 def test_pencil_random_complex_draws_rank_two():
@@ -350,6 +349,38 @@ def test_real_rank_three_sweep_with_forced_moment_coincidences():
         assert verify(res.decomposition, a).ok, m
         solved += 1
     assert solved > 100
+
+
+def _sine(u, v):
+    return abs(u[0] * v[1] - u[1] * v[0]) / (abs(complex(*u)) * abs(complex(*v)))
+
+
+def test_real_rank_three_nodes_lie_60_degrees_apart_and_scale_exactly():
+    rng = np.random.default_rng(44)
+    checked = 0
+    while checked < 300:
+        m = rng.normal(size=4)
+        qa, qb, qc = (z.real for z in pencil_quadratic(sym222_from_moments(m.tolist())))
+        if qb * qb - 4 * qa * qc >= 0:
+            continue
+        checked += 1
+        j = int(rng.integers(-300, 301))
+        base = decompose_sym222_pencil(sym222_from_moments((m * 2.0**-j).tolist()), "R").decomposition
+        nodes = [tuple(c.real for c in v) for _, v in base.terms]
+        assert len(nodes) == 3
+        for u, v in [(nodes[0], nodes[1]), (nodes[0], nodes[2]), (nodes[1], nodes[2])]:
+            assert _sine(u, v) >= math.sin(math.pi / 3) - 1e-12, m
+        for shift in (-300, 300):
+            scaled = decompose_sym222_pencil(sym222_from_moments((m * 2.0 ** (shift - j)).tolist()), "R")
+            assert [v for _, v in scaled.decomposition.terms] == [v for _, v in base.terms]
+            assert [w for w, _ in scaled.decomposition.terms] == [w * 2.0**shift for w, _ in base.terms]
+
+
+def test_a_subnormal_monomial_decomposes_without_a_warning():
+    # pytest turns numpy's RuntimeWarning into an error; dividing by 2^-1074 would overflow 1/p
+    from waring.decompose import _roots_of_unity_decomposition
+
+    assert len(_roots_of_unity_decomposition(SymmetricTensor(3, 2, {(1, 2): 5e-324})).terms) == 3
 
 
 def test_pencil_rejects_non_finite_entries():

@@ -341,6 +341,16 @@ def test_evaluate_past_the_float_range_is_a_typed_error(point):
         evaluate(parse_quantic("x1^3 + 2*x1*x2^2"), point)
 
 
+def test_evaluate_overflows_only_where_the_value_does():
+    # the point is divided by 2^e before the powers, so (1e160)^2 is never formed
+    assert evaluate(parse_quantic("x1^2 - x2^2"), [1e160, 1e160]) == 0
+    # (x1 - x2)(x1 + x2) = 2^470 (2^521 - 2^470), though x1^2 = 2^1040 is past the float range
+    assert evaluate(parse_quantic("x1^2 - x2^2"), [2.0**520, 2.0**520 - 2.0**470]) == pytest.approx(2.0**991)
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        evaluate(parse_quantic("x1^2", nvars=2), [1e160, 0])
+    assert evaluate(parse_quantic("x1^3"), [5e-324]) == 0  # 2^1074 would overflow; e stops at -1022
+
+
 def test_apolar_form_past_the_float_range_is_a_typed_error():
     F = parse_quantic("1e300*x1^2")
     with pytest.raises(ArithmeticOverflowError, match="float range"):
