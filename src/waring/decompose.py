@@ -150,26 +150,17 @@ def _moments(A: SymmetricTensor) -> list[complex]:
     return A._vector.tolist()
 
 
-def _magnitude(values) -> tuple[float, list, float]:
-    """(p, values / p, s), p = 2^e for the _pow2_exponent e of the largest |re| or |im|: s, the largest
-    modulus of values / p, is below 2^1.5, and p * s is that of values, found with no abs that overflows."""
-    top = max(max(map(abs, [v.real for v in values])), max(map(abs, [v.imag for v in values])))
-    p = 2.0 ** _pow2_exponent(top)
-    scaled = [v / p for v in values]
-    return p, scaled, max(map(abs, scaled))
-
-
-def _sylvester(m: list, nodes, field_tag: str) -> SymmetricDecomposition:
+def _sylvester(m: tuple, nodes, field_tag: str) -> SymmetricDecomposition:
     """Decomposition with homogeneous nodes (alpha_i, beta_i), roots of a form apolar to m.
 
     Every node is scaled to unit max-norm, a component below rounding level
     set to zero, and one least-squares solve of the Vandermonde system
     sum_i w_i alpha_i^(k-j) beta_i^j = m_j over all k+1 moments gives the
-    weights.  The moments are divided by their largest magnitude first, so no
-    product overflows.
+    weights.  The moments come as _scaled_entries gives them, m = (p, s,
+    moments / p), and the solve takes moments / (p s), so no product overflows.
     """
-    k = len(m) - 1
-    p, scaled, scale = _magnitude(m)
+    p, scale, scaled = m
+    k = len(scaled) - 1
     eps = np.finfo(float).eps
     points = [
         tuple(c / s if abs(c) > eps * s else 0.0 for c in node)
@@ -195,13 +186,13 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     k = A.order
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
-    size = np.abs(_magnitude(_moments(A))[1])
-    if np.flatnonzero(size > 1e-12 * size[k - 1]).tolist() != [k - 1]:
+    m, unit = _scaled_entries(_moments(A), "C")
+    if np.flatnonzero(np.abs(unit) > 1e-12 * abs(unit[k - 1])).tolist() != [k - 1]:
         raise ValidationError(
             "method monomial needs a tensor proportional to z1*z2^(k-1): "
             f"exactly the exponent class {[1, k - 1]} may be nonzero"
         )
-    return _sylvester(_moments(A), [(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)], "C")
+    return _sylvester(m, [(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)], "C")
 
 
 def decompose_monomial_rank_k(k: int) -> SymmetricDecomposition:
@@ -251,14 +242,19 @@ def _pencil_rule(a, b, c):
     return (scale == 0.0, head <= tol, abs(disc) <= tol * scale), disc
 
 
-def _scaled_entries(values: list, field: str) -> tuple[list, list]:
-    """values, real parts only over R (checked real), and values over their largest magnitude."""
-    p, scaled, scale = _magnitude(values)  # compared and divided over p, so nothing overflows
-    if field == "R":
-        if max(abs(v.imag) for v in scaled) > REAL_FIELD_TOL * (1.0 / p + scale):
-            raise ValidationError("field R needs a real tensor")
-        values, scaled = [v.real for v in values], [v.real / p for v in values]
-    return values, [v / (scale or 1.0) for v in scaled]
+def _scaled_entries(values: list, field: str) -> tuple[tuple[float, float, list], list]:
+    """((p, s, values / p), values / (p s)), p = 2^e for the _pow2_exponent e of the largest |re| or |im|:
+    s, the largest modulus of values / p, is below 2^1.5, and p * s is that of values, found with no abs
+    that overflows.  Over R (checked real) those of the real parts."""
+    top = max(max(map(abs, [v.real for v in values])), max(map(abs, [v.imag for v in values])))
+    p = 2.0 ** _pow2_exponent(top)
+    scaled = [v / p for v in values]
+    scale = max(map(abs, scaled))
+    if field != "R":
+        return (p, scale, scaled), [v / (scale or 1.0) for v in scaled]
+    if max(abs(v.imag) for v in scaled) > REAL_FIELD_TOL * (1.0 / p + scale):
+        raise ValidationError("field R needs a real tensor")
+    return _scaled_entries([v.real for v in values], "C")
 
 
 def _require_sym222(A: SymmetricTensor) -> None:

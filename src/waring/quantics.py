@@ -12,7 +12,6 @@ The bilinear form over C induces no norm, so none is provided.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from dataclasses import dataclass
 
@@ -84,22 +83,27 @@ def _finite(value, what: str) -> complex:
 
 
 def evaluate(F: Quantic, x) -> complex:
-    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p, as 2^(ek) F(x / 2^e),
-    e the _pow2_exponent of the largest |re| or |im| of x, so only a value past the float range overflows."""
+    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p; past the float range it is
+    taken again as 2^(ek) F(x / 2^e), e the _pow2_exponent of the largest |re| or |im| of x, whose factors
+    have modulus below 3, so a nonzero monomial below tiny * 3^k there lost bits to underflow and raises."""
     point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
     nz = vec.nonzero()[0]
-    e = _pow2_exponent(np.maximum(abs(point.real), abs(point.imag)).max())
+    columns = _class_columns(k, n).take(nz, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
         weighted = _class_sizes(k, n)[nz] * vec[nz]
-        value = weighted @ _monomials(point[None, :] / 2.0**e, k, _class_columns(k, n).take(nz, axis=1))[0]
-    value = _finite(value, "the value at this point")
-    try:
-        return complex(math.ldexp(value.real, e * k), math.ldexp(value.imag, e * k))
-    except OverflowError:  # math.ldexp raises where the scaled-back value passes the float range
-        raise ArithmeticOverflowError("the value at this point overflows the float range") from None
+        value = weighted @ _monomials(point[None, :], k, columns)[0]
+        if cmath.isfinite(value):
+            return complex(value)
+        e = _pow2_exponent(np.maximum(abs(point.real), abs(point.imag)).max())
+        monomials = _monomials(point[None, :] / 2.0**e, k, columns)[0]
+        nonzero = _monomials((point != 0).astype(np.complex128)[None, :], k, columns)[0] != 0
+        if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():
+            raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
+        value = weighted @ monomials
+        return _finite(complex(np.ldexp(value.real, e * k), np.ldexp(value.imag, e * k)), "the value at this point")
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:

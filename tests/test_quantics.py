@@ -342,13 +342,28 @@ def test_evaluate_past_the_float_range_is_a_typed_error(point):
 
 
 def test_evaluate_overflows_only_where_the_value_does():
-    # the point is divided by 2^e before the powers, so (1e160)^2 is never formed
+    # where (1e160)^2 overflows, the point is divided by 2^e before the powers and the value is finite
     assert evaluate(parse_quantic("x1^2 - x2^2"), [1e160, 1e160]) == 0
     # (x1 - x2)(x1 + x2) = 2^470 (2^521 - 2^470), though x1^2 = 2^1040 is past the float range
     assert evaluate(parse_quantic("x1^2 - x2^2"), [2.0**520, 2.0**520 - 2.0**470]) == pytest.approx(2.0**991)
+    assert evaluate(parse_quantic("x1^2*x2"), [1e200, 1e-100]) == pytest.approx(1e300)
     with pytest.raises(ArithmeticOverflowError, match="float range"):
         evaluate(parse_quantic("x1^2", nvars=2), [1e160, 0])
-    assert evaluate(parse_quantic("x1^3"), [5e-324]) == 0  # 2^1074 would overflow; e stops at -1022
+    assert evaluate(parse_quantic("x1^3"), [5e-324]) == 0
+
+
+def test_evaluate_keeps_a_small_coordinate_next_to_a_large_one():
+    # nothing overflows, so nothing is scaled: 1e-200 / 2^664 would flush to 0
+    assert evaluate(parse_quantic("x1*x2"), [1e200, 1e-200]) == pytest.approx(1.0)
+    assert evaluate(parse_quantic("x1*x2"), [1e160, 1e-160]) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("form, point", [("x1^2*x2", [1e200, 1e-200]), ("x1^2*x2^3", [1e200, 1e-60])])
+def test_evaluate_raises_where_scaling_would_underflow(form, point):
+    # x1^2 overflows; over 2^e the small coordinate, or its cube, falls below the normal range, and a
+    # silent 0 would be wrong: the values are 1e200 and 1e220
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        evaluate(parse_quantic(form), point)
 
 
 def test_apolar_form_past_the_float_range_is_a_typed_error():
