@@ -4,7 +4,9 @@ A DenseTensor holds all n^k complex entries of a cubical k-way array,
 row-major with the first index slowest.  A SymmetricTensor holds one complex
 value per exponent class p: the common entry a_j shared by every index tuple
 j whose multiplicity vector is p.  The compressed form is canonical; dense
-arrays are materialized on demand under a configurable entry cap.
+arrays are materialized on demand under a configurable entry cap.  A dense
+result of symmetrize or decompress keeps its classes, so is_symmetric and
+compress answer from them; other dense tensors are scanned entry by entry.
 
 One read-only graded-lex class vector is shared with a Quantic of the same data; class positions come
 from exponents by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes, and only the dense
@@ -44,7 +46,7 @@ def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class DenseTensor:
     """Cubical order-k dim-n complex array."""
 
-    __slots__ = ("order", "dim", "array")
+    __slots__ = ("order", "dim", "array", "_classes")
 
     def __init__(self, array):
         arr = np.array(array, dtype=np.complex128)
@@ -58,6 +60,15 @@ class DenseTensor:
         self.order = arr.ndim
         self.dim = n
         self.array = _frozen_finite(arr, "dense tensor entries")
+        self._classes = None
+
+    @classmethod
+    def _of(cls, S: SymmetricTensor, flat: np.ndarray) -> DenseTensor:
+        """Take over a fresh row-major expansion of S's classes, keeping S for is_symmetric and compress."""
+        self = object.__new__(cls)
+        self.order, self.dim, self._classes = S.order, S.dim, S
+        self.array = _frozen(flat.reshape((S.dim,) * S.order))
+        return self
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
@@ -112,7 +123,8 @@ def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float]:
     """Largest |a_j - a_canonical(j)|, its first row-major location, and the max entry magnitude."""
     flat = A.array.reshape(-1)
     ids, canon = _dense_tables(A.order, A.dim)
-    dev = np.abs(flat - flat[canon[ids]])
+    with np.errstate(over="ignore"):  # a difference past the float range reads inf, and exceeds any bound
+        dev = np.abs(flat - flat[canon[ids]])
     j = int(np.argmax(dev))
     idx = tuple(int(i) for i in np.unravel_index(j, A.array.shape))
     return dev[j], idx, tuple(sorted(idx)), float(np.abs(flat).max())
@@ -121,11 +133,14 @@ def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float]:
 def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
     """True iff every entry matches its canonical (sorted-index) representative.
 
-    The deviation is compared against tol * (1 + max entry magnitude).
+    The deviation is compared against tol * (1 + max entry magnitude).  A tensor expanded from classes
+    (symmetrize, decompress) is symmetric by construction.
     """
     _check_tol(tol)
+    if A._classes is not None:
+        return True
     worst, _, _, scale = _worst_asymmetry(A)
-    return worst <= tol * (1.0 + scale)
+    return bool(worst <= tol * (1.0 + scale))
 
 
 def symmetrize(A: DenseTensor) -> DenseTensor:
@@ -134,15 +149,27 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
     Computed by class averaging over canonical index multisets rather than
     an explicit k! permutation sum; the two agree because every permutation
     class member appears the same number of times.  The class sums add the
-    entries in row-major order.
+    entries in row-major order; a class whose sum overflows is summed again
+    at the power-of-two scale of the largest |re| or |im|.
     """
     flat = A.array.reshape(-1)
-    ids, canon = _dense_tables(A.order, A.dim)
-    sums = np.empty(len(canon), dtype=np.complex128)
-    sums.real = np.bincount(ids, weights=flat.real, minlength=len(canon))
-    sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(canon))
-    means = sums / _class_sizes(A.order, A.dim)
-    return DenseTensor(means[ids].reshape(A.array.shape))
+    ids = _dense_tables(A.order, A.dim)[0]
+    sizes = _class_sizes(A.order, A.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _class_means(flat, ids, sizes)
+        bad = ~np.isfinite(means)
+        if bad.any():  # the mean of finite entries is finite
+            p = 2.0 ** _pow2_exponent(np.maximum(abs(flat.real), abs(flat.imag)).max())
+            means[bad] = _class_means(flat / p, ids, sizes)[bad] * p
+    dense = means[ids]  # before _of turns a -0 mean into +0, as the dense entries keep it
+    return DenseTensor._of(SymmetricTensor._of(A.order, A.dim, means), dense)
+
+
+def _class_means(flat: np.ndarray, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    sums = np.empty(len(sizes), dtype=np.complex128)
+    sums.real = np.bincount(ids, weights=flat.real, minlength=len(sizes))
+    sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(sizes))
+    return sums / sizes
 
 
 def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTensor:
@@ -150,8 +177,11 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
 
     The stored value is the entry at the canonical index tuple, so the
     round trip through decompress is exact for exactly symmetric input.
+    A tensor expanded from classes returns them.
     """
     _check_tol(tol)
+    if A._classes is not None:
+        return A._classes
     worst, idx, canon, scale = _worst_asymmetry(A)
     if worst > tol * (1.0 + scale):
         raise SymmetryError(
@@ -177,7 +207,7 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
         raise CapacityError(
             f"dense form needs {total} entries, above the cap of {max_entries}"
         )
-    return DenseTensor(S._vector[_dense_tables(S.order, S.dim)[0]].reshape((S.dim,) * S.order))
+    return DenseTensor._of(S, S._vector[_dense_tables(S.order, S.dim)[0]])
 
 
 def _monomials(points: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:

@@ -462,6 +462,11 @@ _ONE = {"exponent": [100], "value": [1, 0]}
             id="boolean-exponent",
         ),
         pytest.param("to-poly", '{"format": "sym", "order": ' + "9" * 5000 + "}", id="json-int-digit-limit"),
+        pytest.param(
+            "to-poly",
+            json.dumps(_dense_json(3, 2, [[v, 0] for v in (0, 1.5e308, -1.5e308, 0, 1.5e308, 0, 0, 0)])),
+            id="dense-asymmetry-past-the-float-range",
+        ),
     ],
 )
 def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, command, content):
@@ -552,6 +557,14 @@ def test_to_poly_refuses_a_coefficient_that_would_print_as_inf(capsys, tmp_path)
     code, out, err = run(capsys, "to-poly", "--in", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "x1*x2" in err
+
+
+def test_symmetrize_of_a_class_sum_past_the_float_range_exits_0(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(_dense_json(3, 2, [[1.5e308, 0]] * 8)))
+    code, out, err = run(capsys, "symmetrize", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert [c["value"] for c in json.loads(out)["coeffs"]] == [[1.5e308, 0.0]] * 4
 
 
 def test_symmetrize_has_no_tol_flag(capsys):

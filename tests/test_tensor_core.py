@@ -105,6 +105,34 @@ def test_compress_rejects_asymmetric_with_location():
     assert sorted(err.index) == list(err.canonical)
 
 
+def test_symmetrize_averages_a_class_whose_sum_overflows():
+    # 3 * 1.5e308 overflows, but a mean of finite entries is finite
+    s = symmetrize(DenseTensor(np.full((2, 2, 2), 1.5e308)))
+    assert compress(s).coeffs == {p: 1.5e308 for p in enumerate_exponents(3, 2)}
+    raw = np.random.default_rng(15).normal(size=(2, 2, 2))
+    raw[0, 0, 1] = raw[0, 1, 0] = 1.5e308
+    got = symmetrize(DenseTensor(raw)).array
+    with np.errstate(all="ignore"):
+        want = ref_symmetrize(raw.astype(np.complex128))
+    members = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for idx in np.ndindex(2, 2, 2):  # only the class that overflowed is summed again
+        if idx in members:
+            assert got[idx] == got[members[0]] and abs(got[idx] - 1e308) <= 1e-15 * 1e308
+        else:
+            assert got[idx].tobytes() == want[idx].tobytes()
+
+
+def test_an_asymmetry_past_the_float_range_is_refused_without_a_warning():
+    # -1.5e308 - 1.5e308 overflows: the deviation reads inf
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = a[1, 0, 0] = 1.5e308
+    a[0, 1, 0] = -1.5e308
+    assert not is_symmetric(DenseTensor(a))
+    with pytest.raises(SymmetryError, match=r"= inf exceeds") as info:
+        compress(DenseTensor(a))
+    assert (info.value.index, info.value.canonical) == ((0, 1, 0), (0, 0, 1))
+
+
 def test_compress_decompress_round_trip():
     rng = np.random.default_rng(14)
     for k, n in [(2, 3), (3, 2), (4, 3)]:
@@ -404,22 +432,31 @@ def random_entries(rng, shape):
 def test_storage_kernels_match_the_loops_bit_for_bit(k, n):
     rng = np.random.default_rng([k, n])
     raw = random_entries(rng, (n,) * k)
-    sym = symmetrize(DenseTensor(raw))
+    tiny = np.zeros((n,) * k, dtype=np.complex128)  # its class mean rounds to -0.0 where the class has 2+ entries
+    tiny.reshape(-1)[n ** (k - 1) if n > 1 else 0] = -5e-324
+    sym, sym_tiny = symmetrize(DenseTensor(raw)), symmetrize(DenseTensor(tiny))
     assert sym.array.tobytes() == ref_symmetrize(raw).tobytes()
+    assert sym_tiny.array.tobytes() == ref_symmetrize(tiny).tobytes()
+    zeros = sym_tiny.array.real[sym_tiny.array.real == 0]
+    assert np.signbit(zeros).any() == (k > 1 and n > 1)
     threshold = DEFAULT_SYMMETRY_TOL * (1.0 + np.abs(sym.array).max())
     ramp = np.arange(n**k, dtype=float).reshape((n,) * k)  # integer deviations: ties for the worst entry
-    inputs = [raw, ramp, sym.array]
+    inputs = [raw, ramp, sym.array, sym_tiny.array]
     for factor in (0.9, 1.1):  # one entry off its class by just under / just over the tolerance
         nudged = sym.array.copy()
         nudged.reshape(-1)[n ** (k - 1) if n > 1 else 0] += factor * threshold
         inputs.append(nudged)
-    for arr in inputs:
-        want = ref_compress(arr, k, n)
-        tensor = DenseTensor(arr)
+    # results of symmetrize and decompress keep their classes and must answer as the scan of their entries
+    kept = [sym, sym_tiny, decompress(compress(DenseTensor(sym.array)))]
+    for tensor in [DenseTensor(arr) for arr in inputs] + kept:
+        want = ref_compress(tensor.array, k, n)
+        scanned = DenseTensor(tensor.array)
         assert is_symmetric(tensor) == isinstance(want, dict)
+        assert is_symmetric(tensor, tol=0.0) == is_symmetric(scanned, tol=0.0)
         if isinstance(want, dict):
             packed = compress(tensor)
             assert packed.coeffs == want
+            assert packed._vector.tobytes() == compress(scanned)._vector.tobytes()
             assert decompress(packed).array.tobytes() == ref_decompress(want, k, n).tobytes()
         else:
             with pytest.raises(SymmetryError) as info:
@@ -550,8 +587,13 @@ _SYMMETRIC = DenseTensor(np.ones((2, 2, 2)))
         lambda tol: compress(DenseTensor(np.arange(8.0).reshape(2, 2, 2)), tol),
         lambda tol: numerical_rank(np.eye(3), tol),
         lambda tol: power_span_rank([(1.0, 0.0), (0.0, 1.0)], 2, tol),
+        lambda tol: is_symmetric(symmetrize(_SYMMETRIC), tol),
+        lambda tol: compress(decompress(compress(_SYMMETRIC)), tol),
     ],
-    ids=["is_symmetric", "compress", "compress_asymmetric", "numerical_rank", "power_span_rank"],
+    ids=[
+        "is_symmetric", "compress", "compress_asymmetric", "numerical_rank", "power_span_rank",
+        "is_symmetric_kept_classes", "compress_kept_classes",
+    ],
 )
 def test_negative_and_nan_tolerances_are_refused(call, tol):
     with pytest.raises(ValidationError, match="tolerance must be >= 0"):
