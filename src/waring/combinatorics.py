@@ -193,13 +193,41 @@ def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
     return tuple(_exponents(k, n, [c])[:, 0].tolist())
 
 
+def _check_table(k: int, n: int) -> None:
+    if (entries := max(_class_count(k, n), k + 1) * n) > TABLE_CAP:  # k + 1 powers per coordinate count too
+        raise CapacityError(f"order {k} over C^{n} needs {entries} table entries, above the cap of {TABLE_CAP}")
+
+
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _class_columns(k: int, n: int) -> np.ndarray:
     """(n, m) exponents of every class in graded-lex order: entry [i, c] is the exponent of x_(i+1)."""
-    entries = max(_class_count(k, n), k + 1) * n  # _monomials takes k + 1 powers of each coordinate
-    if entries > TABLE_CAP:
-        raise CapacityError(f"order {k} over C^{n} needs {entries} table entries, above the cap of {TABLE_CAP}")
+    _check_table(k, n)
     return _frozen(_exponents(k, n, np.arange(_class_count(k, n))))
+
+
+@lru_cache(maxsize=_SHAPES_CACHED)
+def _head_tail_blocks(k: int, n: int) -> tuple[np.ndarray, int, list, np.ndarray]:
+    """Each order-k class as a head, the first a = k // 2 of its sorted indices j_1 <= ... <= j_k, times a tail.
+
+    Graded-lex is ascending lex order on these tuples, so a head's classes are consecutive, their tails those whose
+    smallest index is at least j_a: a suffix of the tails.  The heads ending at one j form a block.  Returns the head
+    exponent columns, block by block, then the tail ones; the head count; per block its head and tail columns, its
+    slice of one buffer holding all blocks and its shape; and the buffer position of every class."""
+    _check_table(k, n)
+    heads, tails = (_exponents(d, n, np.arange(_class_count(d, n))) for d in (k // 2, k - k // 2))
+    m_a, m_b = heads.shape[1], tails.shape[1]
+    last = np.argmax(np.cumsum(heads, axis=0) == k // 2, axis=0)  # j_a of each head, 0 for the empty one
+    order = np.argsort(last, kind="stable")
+    bounds = np.searchsorted(last[order], np.arange(n + 1))  # block j holds the heads bounds[j]:bounds[j + 1]
+    starts = np.searchsorted(np.argmax(tails != 0, axis=0), np.arange(n))  # suffix j starts at tail x_j^b
+    lengths, sizes = m_b - starts[last], np.diff(bounds) * (m_b - starts)  # classes per head, per block
+    rows = (np.cumsum(lengths[order]) - lengths[order])[np.argsort(order)]  # each head's classes in the buffer
+    where = np.arange(lengths.sum()) + np.repeat(rows - (np.cumsum(lengths) - lengths), lengths)
+    spans = zip(*(x.tolist() for x in (bounds[:-1], bounds[1:], starts, np.cumsum(sizes) - sizes, sizes)))
+    blocks = [(slice(h0, h1), slice(m_a + s, None), slice(o, o + size), (h1 - h0, m_b - s))
+              for h0, h1, s, o, size in spans if size]
+    columns = _frozen(np.concatenate([heads[:, order], tails], axis=1))
+    return columns, m_a, blocks, _frozen(where.astype(np.min_scalar_type(len(where) - 1)))
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)

@@ -1,13 +1,13 @@
 """Constructive symmetric outer product decompositions.
 
-Binary tensors go through one route, Sylvester's: the nodes are the
-homogeneous roots of a form apolar to the moments m_j = a_(k-j, j), and one
-Vandermonde solve gives the weights.  The apolar form is t^k - 1 for the
-monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors; over R
-with a negative discriminant it is a closed-form cubic whose three real roots
-lie 60 degrees apart.  Three border-rank sequences, sums of tangents, have
-members of low symmetric rank but limits that do not.  A universal verifier
-measures any stated decomposition against any target tensor.
+Binary tensors go through one route, Sylvester's: the nodes are the homogeneous roots of a form apolar to the
+moments m_j = a_(k-j, j), and one Vandermonde solve gives the weights.  The apolar form is t^k - 1 for the monomial
+z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors; over R with a negative discriminant it is a closed-form
+cubic whose three real roots lie 60 degrees apart.  Three border-rank sequences, sums of tangents, have members of
+low symmetric rank but limits that do not.  A universal verifier measures any stated decomposition against any
+target tensor by rebuilding it: each class is a head monomial of degree k // 2 times a tail monomial, so the
+classes whose heads end at one variable are one matrix product over the terms: O(r m) multiply-adds for r terms
+and m classes, plus the monomials of the heads and the tails.
 
 Decomposition terms are normalized so the first nonzero component of each
 vector is 1, with the scale absorbed into the weight, and sorted by the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_columns, enumerate_exponents
+from .combinatorics import _head_tail_blocks, enumerate_exponents
 from .errors import DegeneratePencilError, ValidationError, _check_tol
 from .tensor_core import (
     SymmetricTensor,
@@ -103,13 +103,19 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
 
 
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
-    """Sum of weighted outer powers, in compressed form, added term by term."""
+    """Sum of weighted outer powers, in compressed form, as one product over the terms per _head_tail_blocks
+    block.  A term of order k > 1 with |v_i|^k past the float range is refused whatever its weight, like outer_power."""
+    columns, m_a, blocks, where = _head_tail_blocks(D.order, D.dim)
     vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
+    buffer = np.empty(len(where), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects a non-finite sum
-        powers = _monomials(vectors, D.order, _class_columns(D.order, D.dim))
-        powers *= np.array([w for w, _ in D.terms], dtype=np.complex128)[:, None]
-        total = powers.sum(axis=0)
-    return SymmetricTensor._of(D.order, D.dim, total)
+        if D.order > 1 and np.abs(vectors).max(initial=0.0) ** D.order == np.inf:  # bounds a term's classes
+            raise ValidationError("coefficients must be finite")
+        monomials = _monomials(vectors, D.order - D.order // 2, columns)
+        heads = monomials[:, :m_a].T * np.array([w for w, _ in D.terms], dtype=np.complex128)
+        for rows, tails, out, shape in blocks:
+            np.dot(heads[rows], monomials[:, tails], out=buffer[out].reshape(shape))
+    return SymmetricTensor._of(D.order, D.dim, buffer[where])
 
 
 @dataclass(frozen=True)

@@ -119,15 +119,20 @@ class SymmetricTensor:
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={np.count_nonzero(self._vector)})"
 
 
-def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float]:
-    """Largest |a_j - a_canonical(j)|, its first row-major location, and the max entry magnitude."""
+def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float, int]:
+    """Largest |a_j - a_canonical(j)|, its first row-major location and the max entry magnitude, of the entries
+    divided by 2^e, and e: 0, or the exponent of the largest |re| or |im| where that magnitude is not finite."""
     flat = A.array.reshape(-1)
     ids, canon = _dense_tables(A.order, A.dim)
     with np.errstate(over="ignore"):  # a difference past the float range reads inf, and exceeds any bound
+        scale, e = float(np.abs(flat).max()), 0
+        if not math.isfinite(scale):
+            e = _pow2_exponent(np.maximum(abs(flat.real), abs(flat.imag)).max())
+            scale = float(np.abs(flat := flat / 2.0**e).max())
         dev = np.abs(flat - flat[canon[ids]])
     j = int(np.argmax(dev))
     idx = tuple(int(i) for i in np.unravel_index(j, A.array.shape))
-    return dev[j], idx, tuple(sorted(idx)), float(np.abs(flat).max())
+    return dev[j], idx, tuple(sorted(idx)), scale, e
 
 
 def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
@@ -139,8 +144,8 @@ def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
     _check_tol(tol)
     if A._classes is not None:
         return True
-    worst, _, _, scale = _worst_asymmetry(A)
-    return bool(worst <= tol * (1.0 + scale))
+    worst, _, _, scale, e = _worst_asymmetry(A)
+    return bool(worst <= tol * (2.0**-e + scale))
 
 
 def symmetrize(A: DenseTensor) -> DenseTensor:
@@ -182,11 +187,12 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
     _check_tol(tol)
     if A._classes is not None:
         return A._classes
-    worst, idx, canon, scale = _worst_asymmetry(A)
-    if worst > tol * (1.0 + scale):
+    worst, idx, canon, scale, e = _worst_asymmetry(A)
+    if worst > tol * (2.0**-e + scale):
+        unit = f" * 2^{e}" if e else ""
         raise SymmetryError(
-            f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e} "
-            f"exceeds {tol:.1e} * (1 + {scale:.3e})",
+            f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e}{unit} "
+            f"exceeds {tol:.1e} * (1 + {scale:.3e}{unit})",
             index=idx,
             canonical=canon,
         )

@@ -467,6 +467,11 @@ _ONE = {"exponent": [100], "value": [1, 0]}
             json.dumps(_dense_json(3, 2, [[v, 0] for v in (0, 1.5e308, -1.5e308, 0, 1.5e308, 0, 0, 0)])),
             id="dense-asymmetry-past-the-float-range",
         ),
+        pytest.param(
+            "to-poly",
+            json.dumps(_dense_json(3, 2, [[1.5e308, 1.5e308], [1e300, 0], [-1e300, 0], [0, 0], [1e300, 0]] + [[0, 0]] * 3)),
+            id="dense-asymmetry-of-moduli-past-the-float-range",
+        ),
     ],
 )
 def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, command, content):

@@ -166,15 +166,35 @@ def test_class_sizes_are_correctly_rounded_past_the_int64_range():
 
 
 def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
-    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _id_sums
+    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _head_tail_blocks, _id_sums
 
-    caches = (_id_sums, _class_columns, _class_sizes, _dense_tables)
+    caches = (_id_sums, _class_columns, _class_sizes, _dense_tables, _head_tail_blocks)
     (bound,) = {cache.cache_info().maxsize for cache in caches}
     assert bound is not None
     for n in range(2, 14):  # 12 shapes, each into every cache
         _class_sizes(2, n)
         _dense_tables(2, n)
+        _head_tail_blocks(2, n)
     assert all(cache.cache_info().currsize <= bound for cache in caches)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 6), (2, 1), (2, 5), (3, 1), (3, 2), (3, 7), (4, 3), (5, 4), (6, 2), (9, 3)])
+def test_head_tail_blocks_hold_every_class_once(k, n):
+    from waring.combinatorics import _class_columns, _head_tail_blocks
+
+    columns, heads, blocks, where = _head_tail_blocks(k, n)
+    assert columns[:, :heads].sum(axis=0).tolist() == [k // 2] * heads
+    assert columns[:, heads:].sum(axis=0).tolist() == [k - k // 2] * (columns.shape[1] - heads)
+    m, filled = sym_dimension(k, n), 0
+    entries = np.zeros((n, m), dtype=np.int64)  # the exponents each buffer entry gets: head plus tail
+    for rows, tails, out, shape in blocks:
+        assert out.start == filled  # the blocks tile the buffer in order
+        sums = columns[:, rows, None] + columns[:, None, tails]
+        assert sums.shape[1:] == shape
+        entries[:, out] = sums.reshape(n, -1)
+        filled = out.stop
+    assert filled == m and sorted(where.tolist()) == list(range(m))
+    assert entries[:, where].tolist() == _class_columns(k, n).tolist()
 
 
 @pytest.mark.parametrize("k,n", [(0, 5), (1, 2), (3, 4), (3, 10), (4, 6), (5, 5), (2, 300), (1, 1000), (1028, 2)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -123,14 +124,20 @@ def test_symmetrize_averages_a_class_whose_sum_overflows():
 
 
 def test_an_asymmetry_past_the_float_range_is_refused_without_a_warning():
-    # -1.5e308 - 1.5e308 overflows: the deviation reads inf
-    a = np.zeros((2, 2, 2))
-    a[0, 0, 1] = a[1, 0, 0] = 1.5e308
-    a[0, 1, 0] = -1.5e308
-    assert not is_symmetric(DenseTensor(a))
-    with pytest.raises(SymmetryError, match=r"= inf exceeds") as info:
-        compress(DenseTensor(a))
-    assert (info.value.index, info.value.canonical) == ((0, 1, 0), (0, 0, 1))
+    # -1.5e308 - 1.5e308 overflows: the deviation reads inf; with 1.5e308j added, every entry's modulus does too
+    for entry, rest, message in [
+        (1.5e308, 0.0, r"= inf exceeds"),
+        (1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, r"= 3\.732e\+00 \* 2\^1023 exceeds .* \* 2\^1023\)"),
+    ]:
+        a = np.full((2, 2, 2), rest)
+        a[0, 0, 1] = a[1, 0, 0] = entry
+        a[0, 1, 0] = -1.5e308
+        assert not is_symmetric(DenseTensor(a))
+        with pytest.raises(SymmetryError, match=message) as info:
+            compress(DenseTensor(a))
+        assert (info.value.index, info.value.canonical) == ((0, 1, 0), (0, 0, 1))
+        a[0, 1, 0] = entry  # symmetric again
+        assert is_symmetric(DenseTensor(a)) and compress(DenseTensor(a)).coeffs.get((2, 1)) == entry
 
 
 def test_compress_decompress_round_trip():
@@ -388,9 +395,8 @@ def ref_decompress(coeffs, k, n):
 
 def ref_monomial(point, p):
     val = 1.0 + 0j
-    for c, e in zip(point, p):
-        if e:
-            val *= complex(c) ** e
+    for i in itertools.compress(range(len(p)), p):  # the variables with e > 0, in order
+        val *= complex(point[i]) ** p[i]
     return val
 
 
@@ -401,8 +407,8 @@ def ref_outer_power(v, k):
 def ref_reconstruct(terms, k, n):
     acc = {p: 0j for p in enumerate_exponents(k, n)}
     for w, v in terms:
-        for p, value in ref_outer_power(v, k).items():
-            acc[p] += w * value
+        for p in acc:
+            acc[p] += w * ref_monomial(v, p)
     return acc
 
 
@@ -495,6 +501,71 @@ def test_algebra_kernels_match_the_loops(k, n):
     power = veronese(beta, k)
     size = ref_apolar({p: abs(a) for p, a in form.terms.items()}, {p: abs(b) for p, b in power.terms.items()})
     assert abs(apolar_form(form, power) - ref_apolar(form.terms, power.terms)) <= 1e-12 * (1.0 + size.real)
+
+
+@pytest.mark.parametrize("k,n,r", [(1, 3, 2), (7, 1, 3), (60, 2, 5), (400, 2, 5), (2, 300, 3), (4, 40, 2), (8, 12, 1)])
+def test_reconstruct_matches_the_loop_at_any_scale(k, n, r):
+    # one head degree per parity, one variable, long binary orders on the unit circle, and wide few-term shapes
+    from waring.decompose import make_decomposition, reconstruct
+
+    rng = np.random.default_rng([k, n, 2])
+    weights, vectors = random_entries(rng, r), random_entries(rng, (r, n))
+    if n == 2:
+        vectors = [(1.0, complex(np.exp(2j * np.pi * t))) for t in rng.random(r)]
+    terms = make_decomposition(k, n, list(zip(weights, map(tuple, vectors))), "C").terms
+    want = np.array(list(ref_reconstruct(terms, k, n).values()))  # in graded-lex order, as the class vector
+    scale = sum(abs(w) * max(abs(c) for c in v) ** k for w, v in terms)
+    for e in (0, 300, -300):  # relative rounding, with no absolute floor
+        got = reconstruct(make_decomposition(k, n, [(w * 2.0**e, v) for w, v in terms], "C"))._vector
+        assert np.abs(got - want * 2.0**e).max() <= 1e-12 * scale * 2.0**e
+
+
+def _loop_sum_is_finite(terms, k, n):
+    try:
+        return all(map(cmath.isfinite, ref_reconstruct(terms, k, n).values()))
+    except OverflowError:  # Python's complex power raises where numpy's reads inf
+        return False
+
+
+@pytest.mark.parametrize("k,n,terms", [
+    (3, 2, [(2.0**1000, (1, 2.0**10))]),  # the weighted class passes the float range
+    (3, 2, [(2.0**1000, (1, 2.0**5))]),
+    (8, 2, [(2.0**-1000, (1, 2.0**200))]),  # finite weighted, but the power of the vector is not
+    (8, 2, [(2.0**-1000, (1, 2.0**100))]),
+    (2, 3, [(2.0**1000, (1, 2.0**100, 2.0**-100))]),  # x2 * x3 is 2^1000, the weighted head x2 is not finite
+    (2, 3, [(2.0**800, (1, 2.0**100, 2.0**-100))]),
+    (4, 3, [(1.5 * 2.0**1023, (1, 0.5, 0.25)), (1.5 * 2.0**1023, (1, -0.5, 0.25))]),  # the sum passes the range
+    (4, 3, [(1.5 * 2.0**1023, (1, 0.5, 0.25)), (-1.5 * 2.0**1023, (1, -0.5, 0.25))]),
+    (6, 5, [(2.0**300, (1, 2.0**100, 1j, 2.0**-50, 0)), (2.0**-300, (0, 1, 2.0**-50, 3, 1j))]),
+])
+def test_reconstruct_refuses_exactly_the_non_finite_loop_sums(k, n, terms):
+    from waring.decompose import make_decomposition, reconstruct
+
+    D = make_decomposition(k, n, terms)
+    if _loop_sum_is_finite(D.terms, k, n):
+        scale = sum(abs(w) * max(abs(c) for c in v) ** k for w, v in D.terms)
+        got, want = reconstruct(D).coeffs, ref_reconstruct(D.terms, k, n)
+        assert all(abs(got.get(p, 0j) - w) <= 1e-12 * scale for p, w in want.items())
+    else:
+        with pytest.raises(ValidationError, match="finite"):
+            reconstruct(D)
+
+
+def test_reconstruct_needs_no_scratch_of_heads_times_tails():
+    # (8, 12) has 75,582 classes but 1365 heads and 1365 tails: one product of all of them is 25 times that
+    import tracemalloc
+
+    from waring.decompose import make_decomposition, reconstruct
+
+    D = make_decomposition(8, 12, [(1.0, tuple(random_entries(np.random.default_rng(8), 12)))])
+    reconstruct(D)  # builds the tables
+    tracemalloc.start()
+    try:
+        reconstruct(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(enumerate_exponents(8, 12)) * 16
 
 
 def test_frobenius_norm_stays_finite_near_the_float_range():
