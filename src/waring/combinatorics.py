@@ -198,7 +198,6 @@ def _check_table(k: int, n: int) -> None:
         raise CapacityError(f"order {k} over C^{n} needs {entries} table entries, above the cap of {TABLE_CAP}")
 
 
-@lru_cache(maxsize=_SHAPES_CACHED)
 def _class_columns(k: int, n: int) -> np.ndarray:
     """(n, m) exponents of every class in graded-lex order: entry [i, c] is the exponent of x_(i+1)."""
     _check_table(k, n)

@@ -5,9 +5,8 @@ moments m_j = a_(k-j, j), and one Vandermonde solve gives the weights.  The apol
 z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors; over R with a negative discriminant it is a closed-form
 cubic whose three real roots lie 60 degrees apart.  Three border-rank sequences, sums of tangents, have members of
 low symmetric rank but limits that do not.  A universal verifier measures any stated decomposition against any
-target tensor by rebuilding it: each class is a head monomial of degree k // 2 times a tail monomial, so the
-classes whose heads end at one variable are one matrix product over the terms: O(r m) multiply-adds for r terms
-and m classes, plus the monomials of the heads and the tails.
+target tensor by rebuilding it through tensor_core's one power-sum kernel, which also forms outer powers and
+the monomials evaluate reads.
 
 Decomposition terms are normalized so the first nonzero component of each
 vector is 1, with the scale absorbed into the weight, and sorted by the
@@ -23,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _head_tail_blocks, enumerate_exponents
+from .combinatorics import _class_sizes, enumerate_exponents
 from .errors import DegeneratePencilError, ValidationError, _check_tol
 from .tensor_core import (
     SymmetricTensor,
     _complex_pair,
-    _monomials,
     _pow2_exponent,
+    _power_sum,
     _read_pair,
     _read_size,
     frobenius_distance,
@@ -58,8 +57,8 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
 
     Each vector is scaled so its first nonzero component is 1, the k-th power
     of the scale moving into the weight; a non-finite result is rejected.
-    field_tag None auto-detects: R when every weight and component has an
-    imaginary part at most 1e-12, C otherwise; "R" also zeroes those parts.
+    field_tag None auto-detects: R when every weight and component is real,
+    C otherwise; "R" accepts imaginary parts up to 1e-12 and zeroes them.
     """
     if order < 1:
         raise ValidationError("a decomposition needs order >= 1")
@@ -83,7 +82,7 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
         raise ValidationError("decomposition terms must be finite once each vector leads with 1")
     imag_span = max((abs(x.imag) for x in flat), default=0.0)
     if field_tag is None:
-        field_tag = "R" if imag_span <= REAL_FIELD_TOL else "C"
+        field_tag = "R" if imag_span == 0.0 else "C"
     if field_tag not in ("R", "C"):
         raise ValidationError("field tag must be 'R' or 'C'")
     if field_tag == "R":
@@ -103,19 +102,14 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
 
 
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
-    """Sum of weighted outer powers, in compressed form, as one product over the terms per _head_tail_blocks
-    block.  A term of order k > 1 with |v_i|^k past the float range is refused whatever its weight, like outer_power."""
-    columns, m_a, blocks, where = _head_tail_blocks(D.order, D.dim)
+    """Sum of weighted outer powers, in compressed form.  A term of order k > 1 with |v_i|^k past the float range
+    is refused whatever its weight, like outer_power."""
     vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
-    buffer = np.empty(len(where), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects a non-finite sum
+    summed = _power_sum(np.array([w for w, _ in D.terms], dtype=np.complex128), vectors, D.order)
+    with np.errstate(over="ignore", invalid="ignore"):  # a modulus or its k-th power past the float range reads inf
         if D.order > 1 and np.abs(vectors).max(initial=0.0) ** D.order == np.inf:  # bounds a term's classes
             raise ValidationError("coefficients must be finite")
-        monomials = _monomials(vectors, D.order - D.order // 2, columns)
-        heads = monomials[:, :m_a].T * np.array([w for w, _ in D.terms], dtype=np.complex128)
-        for rows, tails, out, shape in blocks:
-            np.dot(heads[rows], monomials[:, tails], out=buffer[out].reshape(shape))
-    return SymmetricTensor._of(D.order, D.dim, buffer[where])
+    return SymmetricTensor._of(D.order, D.dim, summed)
 
 
 @dataclass(frozen=True)
@@ -192,6 +186,7 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     k = A.order
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
+    _class_sizes(k, 2)  # an order whose class sizes pass the float range, which verify refuses, fails before the solve
     m, unit = _scaled_entries(_moments(A), "C")
     if np.flatnonzero(np.abs(unit) > 1e-12 * abs(unit[k - 1])).tolist() != [k - 1]:
         raise ValidationError(

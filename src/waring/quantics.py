@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_columns, _class_count, _class_size, _class_sizes
+from .combinatorics import _class_count, _class_size, _class_sizes
 from .errors import ArithmeticOverflowError, ValidationError
-from .tensor_core import SymmetricTensor, _frozen_finite, _monomials, _pow2_exponent, outer_power
+from .tensor_core import SymmetricTensor, _frozen_finite, _pow2_exponent, _power_sum, outer_power
 
 
 class Quantic:
@@ -90,16 +90,15 @@ def evaluate(F: Quantic, x) -> complex:
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
-    nz = vec.nonzero()[0]
-    columns = _class_columns(k, n).take(nz, axis=1)
+    nz, one = vec.nonzero()[0], np.ones(1, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
         weighted = _class_sizes(k, n)[nz] * vec[nz]
-        value = weighted @ _monomials(point[None, :], k, columns)[0]
+        value = weighted @ _power_sum(one, point[None, :], k)[nz]
         if cmath.isfinite(value):
             return complex(value)
         e = _pow2_exponent(np.maximum(abs(point.real), abs(point.imag)).max())
-        monomials = _monomials(point[None, :] / 2.0**e, k, columns)[0]
-        nonzero = _monomials((point != 0).astype(np.complex128)[None, :], k, columns)[0] != 0
+        monomials = _power_sum(one, point[None, :] / 2.0**e, k)[nz]
+        nonzero = _power_sum(one, (point != 0).astype(np.complex128)[None, :], k)[nz] != 0
         if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():
             raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
         value = weighted @ monomials

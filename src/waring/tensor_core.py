@@ -8,9 +8,9 @@ arrays are materialized on demand under a configurable entry cap.  A dense
 result of symmetrize or decompress keeps its classes, so is_symmetric and
 compress answer from them; other dense tensors are scanned entry by entry.
 
-One read-only graded-lex class vector is shared with a Quantic of the same data; class positions come
-from exponents by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes, and only the dense
-conversions map each dense entry to its class (1-2 bytes).  Both containers are immutable and finite-valued.
+One read-only graded-lex class vector is shared with a Quantic of the same data.  Class positions come from exponents
+by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes, only _power_sum forms class monomials, and only
+the dense conversions map each dense entry to its class (1-2 bytes).  Both containers are immutable and finite-valued.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .combinatorics import (
-    _class_columns, _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, as_exponent,
+    _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, _head_tail_blocks, as_exponent,
 )
 from .errors import CapacityError, SymmetryError, ValidationError, _check_tol
 
@@ -216,13 +216,22 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
     return DenseTensor._of(S, S._vector[_dense_tables(S.order, S.dim)[0]])
 
 
-def _monomials(points: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
-    """Row r, column c: prod_i points[r, i] ** p_i for the order-k exponent column c."""
-    powers = points[:, :, None] ** np.arange(k + 1)
-    out = powers[:, 0, columns[0]]
-    for i in range(1, len(columns)):
-        out *= powers[:, i, columns[i]]
-    return out
+def _power_sum(weights: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
+    """Class vector of sum_r weights[r] * vectors[r]^xk, left non-finite where it overflows.  A class is a head, the
+    monomial of its first k // 2 sorted indices, times a tail; the classes whose heads end at one variable are one
+    matrix product of the weighted heads and a suffix of the tails per _head_tail_blocks block: O(r m) multiply-adds
+    for r terms and m classes, plus the head and tail monomials."""
+    columns, m_a, blocks, where = _head_tail_blocks(k, vectors.shape[1])
+    buffer = np.empty(len(where), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = vectors[:, :, None] ** np.arange(k - k // 2 + 1)
+        monomials = powers[:, 0, columns[0]]
+        for i in range(1, len(columns)):
+            monomials *= powers[:, i, columns[i]]
+        heads = monomials[:, :m_a].T * weights
+        for rows, tails, out, shape in blocks:
+            np.dot(heads[rows], monomials[:, tails], out=buffer[out].reshape(shape))
+    return buffer[where]
 
 
 def outer_power(v, k: int) -> SymmetricTensor:
@@ -232,9 +241,7 @@ def outer_power(v, k: int) -> SymmetricTensor:
     vec = np.array([complex(c) for c in v], dtype=np.complex128)
     if len(vec) < 1:
         raise ValidationError("outer power needs a nonempty vector")
-    with np.errstate(over="ignore", invalid="ignore"):  # SymmetricTensor._of rejects non-finite powers
-        powers = _monomials(vec[None, :], k, _class_columns(k, len(vec)))[0]
-    return SymmetricTensor._of(k, len(vec), powers)
+    return SymmetricTensor._of(k, len(vec), _power_sum(np.ones(1, dtype=np.complex128), vec[None, :], k))
 
 
 def contract_mode1(A: DenseTensor, B: DenseTensor):

@@ -524,6 +524,7 @@ _MONOMIAL = {"exponent": [1, 3], "value": [0.25, 0.0]}
         (_sym_json(3, 3), "C", "dim 2"),
         (_sym_json(1, 2, [{"exponent": [0, 1], "value": [1, 0]}]), "C", "order >= 2"),
         (_sym_json(4, 2, [_MONOMIAL]), "R", "pass --field C"),
+        (_sym_json(1030, 2, [{"exponent": [1, 1029], "value": [1, 0]}]), "C", "order 1030 over C^2 exceeds the float"),
     ],
 )
 def test_decompose_monomial_rejects_what_it_cannot_decompose_exit_2(capsys, tmp_path, tensor, field, message):

@@ -166,9 +166,9 @@ def test_class_sizes_are_correctly_rounded_past_the_int64_range():
 
 
 def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
-    from waring.combinatorics import _class_columns, _class_sizes, _dense_tables, _head_tail_blocks, _id_sums
+    from waring.combinatorics import _class_sizes, _dense_tables, _head_tail_blocks, _id_sums
 
-    caches = (_id_sums, _class_columns, _class_sizes, _dense_tables, _head_tail_blocks)
+    caches = (_id_sums, _class_sizes, _dense_tables, _head_tail_blocks)
     (bound,) = {cache.cache_info().maxsize for cache in caches}
     assert bound is not None
     for n in range(2, 14):  # 12 shapes, each into every cache

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,13 @@ def test_make_decomposition_field_detection():
     assert make_decomposition(2, 2, [(1.0, (1.0, 1.0j))]).field_tag == "C"
     with pytest.raises(ValidationError):
         make_decomposition(2, 2, [(1.0j, (1.0, 1.0))], field_tag="R")
+
+
+def test_make_decomposition_tags_r_only_when_every_imaginary_part_is_zero():
+    # an imaginary part far below 1e-12 is still complex, and reconstruct keeps it
+    d = make_decomposition(3, 2, [(2**-300 * 1j, (1.0, 0.5))])
+    assert d.field_tag == "C"
+    assert reconstruct(d).coeffs[(3, 0)] == 2**-300 * 1j
 
 
 def test_make_decomposition_rejects_zero_vector():
@@ -210,6 +218,21 @@ def test_the_monomial_method_states_its_shape_rule(A, message):
 
     with pytest.raises(ValidationError, match=message):
         _roots_of_unity_decomposition(A)
+
+
+@pytest.mark.parametrize("k", [1029, 1030])
+def test_the_monomial_method_refuses_an_order_verify_cannot_take_before_solving(k):
+    # from order 1030 the largest class size passes the float range; the Vandermonde solve took over a second
+    from waring.decompose import _roots_of_unity_decomposition
+
+    A = binary_monomial_tensor(k)
+    if k == 1029:
+        assert len(_roots_of_unity_decomposition(A).terms) == k
+        return
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticOverflowError, match="order 1030 over C\\^2 exceeds the float range"):
+        _roots_of_unity_decomposition(A)
+    assert time.perf_counter() - start < 0.1
 
 
 # --- 2x2x2 pencil decomposition -----------------------------------------------

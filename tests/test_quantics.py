@@ -360,10 +360,26 @@ def test_evaluate_keeps_a_small_coordinate_next_to_a_large_one():
 
 @pytest.mark.parametrize("form, point", [("x1^2*x2", [1e200, 1e-200]), ("x1^2*x2^3", [1e200, 1e-60])])
 def test_evaluate_raises_where_scaling_would_underflow(form, point):
-    # x1^2 overflows; over 2^e the small coordinate, or its cube, falls below the normal range, and a
-    # silent 0 would be wrong: the values are 1e200 and 1e220
+    # the head x1 times the tail x1*x2 is 1e200 with nothing past the float range; in x1^2*x2^3 the head x1^2
+    # overflows, and over 2^e the cube of the small coordinate falls below the normal range, where a silent 0
+    # would be wrong: the value is 1e220
+    if form == "x1^2*x2":
+        assert evaluate(parse_quantic(form), point) == pytest.approx(1e200)
+        return
     with pytest.raises(ArithmeticOverflowError, match="float range"):
         evaluate(parse_quantic(form), point)
+
+
+def test_evaluating_wide_quadratics_keeps_no_exponent_table():
+    # each shape keeps its class sizes and head-tail layout, O(classes) bytes, not an n x m exponent table
+    tracemalloc.start()
+    try:
+        for n in range(100, 157, 8):
+            evaluate(parse_quantic(f"x1*x{n} + 2*x5^2"), np.linspace(-1.0, 1.0, n))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 << 20
 
 
 def test_apolar_form_past_the_float_range_is_a_typed_error():

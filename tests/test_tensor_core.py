@@ -499,8 +499,20 @@ def test_algebra_kernels_match_the_loops(k, n):
     size = ref_evaluate({p: abs(a) for p, a in form.terms.items()}, [abs(c) for c in beta])
     assert abs(evaluate(form, beta) - ref_evaluate(form.terms, beta)) <= 1e-12 * (1.0 + size.real)
     power = veronese(beta, k)
+    assert abs(evaluate(form, beta) - apolar_form(form, power)) <= 1e-12 * (1.0 + size.real)
     size = ref_apolar({p: abs(a) for p, a in form.terms.items()}, {p: abs(b) for p, b in power.terms.items()})
     assert abs(apolar_form(form, power) - ref_apolar(form.terms, power.terms)) <= 1e-12 * (1.0 + size.real)
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SHAPES + [(2, 300), (100_000, 1)])
+def test_outer_power_is_the_one_term_reconstruct(k, n):
+    # one kernel forms both, so they agree class by class; order 10^5 over C^1 takes the unit circle
+    from waring.decompose import SymmetricDecomposition, reconstruct
+
+    v = random_entries(np.random.default_rng([k, n, 3]), n)
+    v = tuple((v / np.abs(v).max()).tolist())
+    want = reconstruct(SymmetricDecomposition(k, n, ((1 + 0j, v),), "C"))._vector
+    assert outer_power(v, k)._vector.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("k,n,r", [(1, 3, 2), (7, 1, 3), (60, 2, 5), (400, 2, 5), (2, 300, 3), (4, 40, 2), (8, 12, 1)])
