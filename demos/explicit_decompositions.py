@@ -1,7 +1,7 @@
 """Three explicit Waring decompositions, each verified by reconstruction.
 
-First the monomial z1 * z2^(k-1), split into k powers through the k-th roots
-of unity.  Then the order-4 and order-5 identities on the node set
+First the monomial z1 * z2^(k-1), split into k powers whose nodes are the
+k-th roots of unity stretched to radius sqrt(k - 1).  Then the order-4 and order-5 identities on the node set
 {1, -1, 2, -2}.  Finally the slice-pencil method on the cubic 3xy^2 - x^3,
 which needs two powers over C but three over R: the two fields genuinely
 disagree on this tensor.
@@ -22,7 +22,7 @@ from waring import (
 for k in (3, 5):
     d = decompose_monomial_rank_k(k)
     rep = verify(d, binary_monomial_tensor(k))
-    print(f"z1*z2^{k-1}: {len(d.terms)} terms through the k-th roots of unity (k={k}), "
+    print(f"z1*z2^{k-1}: {len(d.terms)} terms on the circle of radius sqrt({k - 1}) (k={k}), "
           f"residual {rep.residual:.2e}")
     for weight, vector in d.terms:
         print(f"  {weight:+.4f} * (1, {vector[1]:+.4f})")

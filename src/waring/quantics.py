@@ -96,7 +96,7 @@ def evaluate(F: Quantic, x) -> complex:
         value = weighted @ _power_sum(one, point[None, :], k)[nz]
         if cmath.isfinite(value):
             return complex(value)
-        e = _pow2_exponent(np.maximum(abs(point.real), abs(point.imag)).max())
+        e = _pow2_exponent(point)
         monomials = _power_sum(one, point[None, :] / 2.0**e, k)[nz]
         nonzero = _power_sum(one, (point != 0).astype(np.complex128)[None, :], k)[nz] != 0
         if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():

@@ -31,10 +31,13 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
 
-def _pow2_exponent(top: float) -> int:
-    """e with 2^e <= top < 2^(e+1), but at least -1022 so that 2^-e is finite too: dividing by 2^e
-    is then exact above the subnormal range, and leaves top below 2."""
-    return max(math.frexp(top)[1] - 1, -1022)
+def _pow2_exponent(values) -> int:
+    """e with 2^e <= the largest |re| or |im| of values (a contiguous array, or a list read without numpy) < 2^(e+1),
+    but at least -1022 so that 2^-e is finite too: dividing by 2^e is then exact above the subnormal range, and
+    leaves every |re| and |im| below 2."""
+    if isinstance(values, list):
+        return max(math.frexp(max(abs(c) for v in values for c in (v.real, v.imag)))[1] - 1, -1022)
+    return max(math.frexp(abs(values.view(float)).max())[1] - 1, -1022)
 
 
 def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -121,31 +124,27 @@ class SymmetricTensor:
 
 def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float, int]:
     """Largest |a_j - a_canonical(j)|, its first row-major location and the max entry magnitude, of the entries
-    divided by 2^e, and e: 0, or the exponent of the largest |re| or |im| where that magnitude is not finite."""
-    flat = A.array.reshape(-1)
+    divided by 2^e for the _pow2_exponent e of the tensor, and e."""
+    e = _pow2_exponent(flat := A.array.reshape(-1))
+    flat = flat / 2.0**e
     ids, canon = _dense_tables(A.order, A.dim)
-    with np.errstate(over="ignore"):  # a difference past the float range reads inf, and exceeds any bound
-        scale, e = float(np.abs(flat).max()), 0
-        if not math.isfinite(scale):
-            e = _pow2_exponent(np.maximum(abs(flat.real), abs(flat.imag)).max())
-            scale = float(np.abs(flat := flat / 2.0**e).max())
-        dev = np.abs(flat - flat[canon[ids]])
+    dev = np.abs(flat - flat[canon[ids]])
     j = int(np.argmax(dev))
     idx = tuple(int(i) for i in np.unravel_index(j, A.array.shape))
-    return dev[j], idx, tuple(sorted(idx)), scale, e
+    return float(dev[j]), idx, tuple(sorted(idx)), float(np.abs(flat).max()), e
 
 
 def is_symmetric(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
     """True iff every entry matches its canonical (sorted-index) representative.
 
-    The deviation is compared against tol * (1 + max entry magnitude).  A tensor expanded from classes
-    (symmetrize, decompress) is symmetric by construction.
+    The deviation is compared against tol * max entry magnitude, both divided by the power of two of the largest
+    |re| or |im|.  A tensor expanded from classes (symmetrize, decompress) is symmetric by construction.
     """
     _check_tol(tol)
     if A._classes is not None:
         return True
-    worst, _, _, scale, e = _worst_asymmetry(A)
-    return bool(worst <= tol * (2.0**-e + scale))
+    worst, _, _, scale, _ = _worst_asymmetry(A)
+    return worst <= tol * scale
 
 
 def symmetrize(A: DenseTensor) -> DenseTensor:
@@ -164,7 +163,7 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
         means = _class_means(flat, ids, sizes)
         bad = ~np.isfinite(means)
         if bad.any():  # the mean of finite entries is finite
-            p = 2.0 ** _pow2_exponent(np.maximum(abs(flat.real), abs(flat.imag)).max())
+            p = 2.0 ** _pow2_exponent(flat)
             means[bad] = _class_means(flat / p, ids, sizes)[bad] * p
     dense = means[ids]  # before _of turns a -0 mean into +0, as the dense entries keep it
     return DenseTensor._of(SymmetricTensor._of(A.order, A.dim, means), dense)
@@ -178,24 +177,22 @@ def _class_means(flat: np.ndarray, ids: np.ndarray, sizes: np.ndarray) -> np.nda
 
 
 def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTensor:
-    """Store one value per exponent class of a symmetric dense tensor.
+    """Store one value per exponent class of a dense tensor that is_symmetric accepts.
 
     The stored value is the entry at the canonical index tuple, so the
     round trip through decompress is exact for exactly symmetric input.
-    A tensor expanded from classes returns them.
+    A tensor expanded from classes returns them.  The error states its
+    numbers divided by 2^e only where the largest magnitude overflows.
     """
     _check_tol(tol)
     if A._classes is not None:
         return A._classes
     worst, idx, canon, scale, e = _worst_asymmetry(A)
-    if worst > tol * (2.0**-e + scale):
-        unit = f" * 2^{e}" if e else ""
-        raise SymmetryError(
-            f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e}{unit} "
-            f"exceeds {tol:.1e} * (1 + {scale:.3e}{unit})",
-            index=idx,
-            canonical=canon,
-        )
+    if worst > tol * scale:
+        unit = f" * 2^{e}" if math.isinf(scale * 2.0**e) else ""
+        worst, scale = (worst, scale) if unit else (worst * 2.0**e, scale * 2.0**e)
+        raise SymmetryError(f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e}{unit} exceeds {tol:.1e} * "
+                            f"{scale:.3e}{unit}", index=idx, canonical=canon)
     canon = _dense_tables(A.order, A.dim)[1]
     return SymmetricTensor._of(A.order, A.dim, A.array.reshape(-1)[canon])
 
@@ -326,30 +323,34 @@ def mode1_unfolding(A: DenseTensor) -> np.ndarray:
 
 
 def _class_norm(order: int, dim: int, vec: np.ndarray) -> float:
-    """sqrt(sum multinomial(p) |v_p|^2), summed at a power-of-two scale so no square overflows."""
+    """sqrt(sum multinomial(p) |v_p|^2) of a class vector with |re|, |im| < 4, as one or a difference of two over the
+    2^e of _pow2_exponent: terms are below 32 multinomial(p), and the sizes are divided by 4^h, h > 0 only where
+    the sum, below 32 n^k, could pass the float range, so times 2^e the norm is inf only where it is."""
+    sizes = _class_sizes(order, dim)
+    h = max((dim**order).bit_length() - 1017, 0) // 2
     w = np.abs(vec)
-    top = float(w.max())
-    if top == 0.0 or not math.isfinite(top):
-        return top
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)  # top / scale lies in [1, 2)
-    w /= scale
-    return scale * math.sqrt(_class_sizes(order, dim) @ (w * w))
+    return math.sqrt((sizes * 4.0**-h if h else sizes) @ (w * w)) * 2.0**h
+
+
+def _at_one_scale(*tensors: SymmetricTensor) -> tuple[float, np.ndarray]:
+    """2^e for the _pow2_exponent e of the tensors' class vectors, and those vectors over 2^e as rows."""
+    vectors = np.concatenate([T._vector for T in tensors])
+    p = 2.0 ** _pow2_exponent(vectors)
+    return p, np.divide(vectors, p, out=vectors).reshape(len(tensors), -1)
 
 
 def frobenius_norm(A: SymmetricTensor) -> float:
     """Dense-array Euclidean norm computed in compressed form."""
-    return _class_norm(A.order, A.dim, A._vector)
+    p, (a,) = _at_one_scale(A)
+    return _class_norm(A.order, A.dim, a) * p
 
 
 def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
-    """Dense-array Euclidean distance computed in compressed form."""
+    """Dense-array Euclidean distance computed in compressed form, inf where it passes the float range."""
     if (A.order, A.dim) != (B.order, B.dim):
-        raise ValidationError(
-            f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})"
-        )
-    with np.errstate(over="ignore"):  # an overflowing difference gives an infinite distance
-        diff = A._vector - B._vector
-    return _class_norm(A.order, A.dim, diff)
+        raise ValidationError(f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})")
+    p, (a, b) = _at_one_scale(A, B)
+    return _class_norm(A.order, A.dim, a - b) * p
 
 
 def _complex_pair(value: complex) -> list[float]:

@@ -535,6 +535,42 @@ def test_decompose_monomial_rejects_what_it_cannot_decompose_exit_2(capsys, tmp_
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("k", [60, 200])
+def test_decompose_monomial_at_high_order_verifies(capsys, tmp_path, k):
+    # from-poly, decompose --method monomial and verify on x1*x2^(k-1)
+    poly, tensor, decomp = tmp_path / "p.txt", tmp_path / "t.json", tmp_path / "d.json"
+    poly.write_text(f"x1*x2^{k - 1}\n")
+    assert run(capsys, "from-poly", "--in", str(poly), "--out", str(tensor))[0] == 0
+    code, out, err = run(capsys, "decompose", "--in", str(tensor), "--method", "monomial", "--out", str(decomp))
+    assert (code, err) == (0, "") and len(json.loads(decomp.read_text())["terms"]) == k
+    code, out, _ = run(capsys, "verify", "--tensor", str(tensor), "--decomp", str(decomp))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("weight, code", [(2.0, 1), (1.0, 0)])
+def test_verify_at_order_1024_exits_by_the_residual(capsys, tmp_path, weight, code):
+    # (x1 + x2)^1024: its class sizes sum to 2^1024, its norm is 2^512
+    tensor, decomp = tmp_path / "t.json", tmp_path / "d.json"
+    ones = [{"exponent": [1024 - j, j], "value": [1, 0]} for j in range(1025)]
+    tensor.write_text(json.dumps(_sym_json(1024, 2, ones)))
+    decomp.write_text(json.dumps({"order": 1024, "dim": 2, "field": "R",
+                                  "terms": [{"weight": [weight, 0], "vector": [[1, 0], [1, 0]]}]}))
+    got, out, err = run(capsys, "verify", "--tensor", str(tensor), "--decomp", str(decomp))
+    assert (got, err) == (code, "")
+    assert strict_json(out) == {"residual": (weight - 1) * 2.0**512, "ok": code == 0, "stated_rank": 1}
+
+
+def test_decompose_over_r_refuses_a_small_tensor_with_a_larger_imaginary_part_exit_2(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(_sym_json(3, 2, [
+        {"exponent": p, "value": v}
+        for p, v in [([3, 0], [1e-20, 1e-13]), ([2, 1], [2e-20, 0]), ([1, 2], [3e-20, 0]), ([0, 3], [0.5e-20, 0])]
+    ])))
+    code, out, err = run(capsys, "decompose", "--in", str(path), "--method", "pencil", "--field", "R")
+    assert (code, out) == (2, "")
+    assert err == "error: field R needs a real tensor\n"
+
+
 _PAST_THE_RANGE = {"exponent": [1, 2], "value": [1.7e308, 1.7e308]}  # modulus 2.4e308, past the float range
 
 

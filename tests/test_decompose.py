@@ -131,6 +131,84 @@ def test_verify_passes_the_exact_pair_when_the_norm_overflows():
     assert verify(make_decomposition(3, 2, [(1.5e308, (1, 0)), (1.4e308, (0, 1))]), HUGE_PAIR, 0.1).ok
 
 
+def test_verify_measures_a_small_tensor_against_its_own_norm():
+    # 1e-12 (0, 1)^3 against 1e-12 x1^3: the residual is sqrt(2) times the tensor's norm
+    small = SymmetricTensor(3, 2, {(3, 0): 1e-12})
+    rep = verify(make_decomposition(3, 2, [(1e-12, (0, 1))]), small)
+    assert not rep.ok and rep.residual == pytest.approx(math.sqrt(2) * 1e-12, rel=1e-15)
+    assert verify(make_decomposition(3, 2, [(1e-12, (1, 0))]), small).ok
+    # with no floor, only an exactly zero reconstruction verifies against the zero tensor
+    zero = SymmetricTensor(3, 2, {})
+    assert verify(make_decomposition(3, 2, [(1.0, (1, 0)), (-1.0, (1, 0))]), zero).ok
+    assert not verify(make_decomposition(3, 2, [(1e-300, (1, 0))]), zero).ok
+
+
+@pytest.mark.parametrize("weight, ok", [(2.0, False), (1.0, True), (1.0 + 1e-6, False), (1.0 + 1e-12, True)])
+def test_verify_at_orders_whose_class_sizes_near_the_float_range(weight, ok):
+    # (x1 + x2)^1024 has norm 2^512, though its weighted sum of squares is 2^1024
+    ones = SymmetricTensor(1024, 2, {(1024 - j, j): 1.0 for j in range(1025)})
+    rep = verify(make_decomposition(1024, 2, [(weight, (1, 1))]), ones)
+    assert rep.ok == ok and rep.residual == pytest.approx(abs(weight - 1.0) * 2.0**512, rel=1e-9)
+
+
+@pytest.mark.parametrize("terms, tag", [
+    ([(1e-20 + 1e-13j, (1, 0.5))], None),  # an imaginary part 10^7 times the real one
+    ([(1e10 + 1e-3j, (1, 0.5))], "R"),  # an imaginary part 1e-13 of the real one
+    ([(1.0, (1, 0.5 + 4e-13j))], "R"),
+    ([(1.0, (1, 0.5 + 1e-11j))], None),
+])
+def test_field_tag_r_bounds_each_imaginary_part_by_its_real_part(terms, tag):
+    if tag is None:
+        with pytest.raises(ValidationError, match="field tag R requires"):
+            make_decomposition(3, 2, terms, "R")
+    else:
+        d = make_decomposition(3, 2, terms, "R")
+        assert d.field_tag == tag and all(w.imag == 0 and all(c.imag == 0 for c in v) for w, v in d.terms)
+
+
+def test_decompose_over_r_measures_imaginary_parts_against_the_entries():
+    # an imaginary part 10^7 times every real entry is not real, however small both are
+    tiny = SymmetricTensor(3, 2, {(3, 0): 1e-20 + 1e-13j, (2, 1): 2e-20, (1, 2): 3e-20, (0, 3): 0.5e-20})
+    with pytest.raises(ValidationError, match="field R needs a real tensor"):
+        decompose_sym222_pencil(tiny, "R")
+    real = SymmetricTensor(3, 2, {(3, 0): 1e-20 + 1e-33j, (2, 1): 2e-20, (1, 2): 3e-20, (0, 3): 0.5e-20})
+    assert verify(decompose_sym222_pencil(real, "R").decomposition, real).ok
+
+
+_SCALE_SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("shift", [300, -300, 1000, -1000])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(shape=st.sampled_from(_SCALE_SHAPES), seed=st.integers(0, 2**32 - 1), nudge=st.floats(0.0, 3.0))
+def test_a_power_of_two_scale_changes_no_decision(shift, shape, seed, nudge):
+    # verify, is_symmetric and compress judge a tensor and that tensor times 2^shift alike, entries staying normal
+    from waring.errors import SymmetryError
+    from waring.tensor_core import DenseTensor, compress, decompress, is_symmetric
+
+    k, n = shape
+    rng = np.random.default_rng(seed)
+    d = make_decomposition(k, n, [(complex(*rng.normal(size=2)), tuple(rng.normal(size=n) + 1j * rng.normal(size=n)))
+                                  for _ in range(2)], "C")
+    exact = reconstruct(d)._vector
+    noise = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    target = exact + nudge * 1e-9 * np.abs(exact).max() * noise / np.abs(noise).max()
+    dense = decompress(SymmetricTensor._of(k, n, target.copy())).array.copy()
+    dense.reshape(-1)[-2 if n**k > 1 else 0] += nudge * 1e-12 * np.abs(dense).max()
+
+    def judged(p):
+        scaled = make_decomposition(k, n, [(w * p, v) for w, v in d.terms], "C")
+        report = verify(scaled, SymmetricTensor._of(k, n, target * p))
+        try:
+            compressed = compress(DenseTensor(dense * p)) is not None
+        except SymmetryError:
+            compressed = False
+        return report.ok, is_symmetric(DenseTensor(dense * p)), compressed, report.residual / p
+
+    *decisions, residual = judged(1.0)
+    assert judged(2.0**shift) == (*decisions, pytest.approx(residual, rel=1e-12))
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
 def test_verify_refuses_negative_and_nan_tolerances(tol):
     exact = make_decomposition(3, 2, [(1.0, (1, 0))])
@@ -165,12 +243,19 @@ def test_monomial_decomposition_rank_k(k):
 
 
 def test_monomial_directions_are_roots_of_unity():
+    # on the circle of radius rho = sqrt(k - 1) = 2: the roots of t^5 - rho^5
     d = decompose_monomial_rank_k(5)
     betas = sorted((v[1] for _, v in d.terms), key=lambda z: cmath.phase(z))
     for b in betas:
-        assert abs(abs(b) - 1.0) <= 1e-12
-        assert abs(b**5 - 1.0) <= 1e-12
+        assert abs(abs(b) - 2.0) <= 1e-12
+        assert abs(b**5 - 32.0) <= 1e-12 * 32
     assert abs(sum(betas)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [47, 48, 53, 55, 60, 100, 166, 200, 250])
+def test_monomial_decomposition_verifies_at_high_order(k):
+    # unit-circle nodes failed from k = 53 at tol * (1 + ||A||), and would from k = 48 at tol * ||A||
+    assert verify(decompose_monomial_rank_k(k), binary_monomial_tensor(k)).ok
 
 
 def test_monomial_k2_is_the_classical_identity():

@@ -127,7 +127,7 @@ def test_an_asymmetry_past_the_float_range_is_refused_without_a_warning():
     # -1.5e308 - 1.5e308 overflows: the deviation reads inf; with 1.5e308j added, every entry's modulus does too
     for entry, rest, message in [
         (1.5e308, 0.0, r"= inf exceeds"),
-        (1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, r"= 3\.732e\+00 \* 2\^1023 exceeds .* \* 2\^1023\)"),
+        (1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, r"= 3\.732e\+00 \* 2\^1023 exceeds .* \* 2\^1023$"),
     ]:
         a = np.full((2, 2, 2), rest)
         a[0, 0, 1] = a[1, 0, 0] = entry
@@ -375,10 +375,10 @@ def canonical_index0(p):
 def ref_compress(arr, k, n):
     """Class dict of the reference compress, or the SymmetryError it raises as (message, index, canonical)."""
     worst, idx, canon, scale = ref_worst_asymmetry(arr)
-    if worst > DEFAULT_SYMMETRY_TOL * (1.0 + scale):
+    if worst > DEFAULT_SYMMETRY_TOL * scale:
         message = (
             f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e} "
-            f"exceeds {DEFAULT_SYMMETRY_TOL:.1e} * (1 + {scale:.3e})"
+            f"exceeds {DEFAULT_SYMMETRY_TOL:.1e} * {scale:.3e}"
         )
         return message, idx, canon
     values = {p: complex(arr[canonical_index0(p)]) for p in enumerate_exponents(k, n)}
@@ -445,7 +445,7 @@ def test_storage_kernels_match_the_loops_bit_for_bit(k, n):
     assert sym_tiny.array.tobytes() == ref_symmetrize(tiny).tobytes()
     zeros = sym_tiny.array.real[sym_tiny.array.real == 0]
     assert np.signbit(zeros).any() == (k > 1 and n > 1)
-    threshold = DEFAULT_SYMMETRY_TOL * (1.0 + np.abs(sym.array).max())
+    threshold = DEFAULT_SYMMETRY_TOL * np.abs(sym.array).max()
     ramp = np.arange(n**k, dtype=float).reshape((n,) * k)  # integer deviations: ties for the worst entry
     inputs = [raw, ramp, sym.array, sym_tiny.array]
     for factor in (0.9, 1.1):  # one entry off its class by just under / just over the tolerance
@@ -587,6 +587,31 @@ def test_frobenius_norm_stays_finite_near_the_float_range():
     assert frobenius_distance(s, minus) == pytest.approx(2 * math.sqrt(8) * 1e300, rel=1e-15)
     assert frobenius_norm(SymmetricTensor(1, 1, {(1,): 1.7e308})) == 1.7e308
     assert frobenius_norm(SymmetricTensor(1, 1, {(1,): 5e-324})) == 5e-324
+
+
+def test_a_small_asymmetry_is_measured_against_the_entries_not_against_one():
+    # with the tolerance relative to the largest entry, 1e-13 against 0 is a whole entry off
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = 1e-13
+    assert not is_symmetric(DenseTensor(a))
+    with pytest.raises(SymmetryError, match=r"= 1\.000e-13 exceeds 1\.0e-12 \* 1\.000e-13$"):
+        compress(DenseTensor(a))
+    a[0, 1, 0] = a[1, 0, 0] = 1e-13 * (1 + 2**-40)  # relative deviation 2^-40, below 1e-12
+    assert is_symmetric(DenseTensor(a)) and compress(DenseTensor(a)).coeffs == {(2, 1): 1e-13}
+
+
+def _binary_ones(k, value=1.0):
+    """The tensor of value * (x1 + x2)^k: every class entry is value."""
+    return SymmetricTensor(k, 2, {(k - j, j): value for j in range(k + 1)})
+
+
+def test_the_norm_of_classes_whose_sizes_near_the_float_range_is_finite():
+    # the class sizes of order 1024 sum to 2^1024, so the weighted sum of squares passes the float range
+    assert frobenius_norm(_binary_ones(1024)) == 2.0**512
+    assert frobenius_norm(_binary_ones(1024, 0.5)) == 2.0**511
+    assert frobenius_distance(_binary_ones(1024, 2.0**511), SymmetricTensor(1024, 2, {})) == 2.0**1023
+    assert frobenius_distance(_binary_ones(1024, 2.0**511), _binary_ones(1024, -(2.0**511))) == math.inf
+    assert frobenius_norm(_binary_ones(1024, 2.0**512)) == math.inf
 
 
 def test_constructors_reject_non_finite_values():
