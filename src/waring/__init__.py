@@ -41,6 +41,7 @@ from .decompose import (
 from .errors import (
     ArithmeticOverflowError,
     CapacityError,
+    DecompositionError,
     DegeneratePencilError,
     NotApplicableError,
     SymmetryError,

@@ -28,7 +28,7 @@ from .decompose import (
     make_border_spec,
     verify,
 )
-from .errors import ArithmeticOverflowError, DegeneratePencilError, ValidationError, WorkerError
+from .errors import ArithmeticOverflowError, DecompositionError, ValidationError, WorkerError
 from .montecarlo import stats_to_csv, typical_rank_experiment
 from .quantics import parse_quantic, quantic_to_tensor, render_quantic, tensor_to_quantic
 from .rank_oracle import fiber_table, generic_rank_table, rank_report
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (DegeneratePencilError, WorkerError) as exc:
+    except (DecompositionError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, ArithmeticOverflowError, OSError) as exc:

@@ -8,9 +8,9 @@ have members of low symmetric rank but limits that do not.  A universal verifier
 against any target tensor by rebuilding it through tensor_core's one power-sum kernel, which also forms outer
 powers and the monomials evaluate reads.
 
-Decomposition terms are normalized so the first nonzero component of each
-vector is 1, with the scale absorbed into the weight, and sorted by the
-second vector component so serialized output is deterministic.
+A decomposition stores read-only arrays, weights (r,) and vectors (r, n), that every producer hands to one normalizer:
+each vector leads with 1, its scale moved into the weight, and the terms are sorted by the second component so
+output is deterministic.  reconstruct reads the arrays as they are, and terms derives (weight, vector) pairs.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_sizes, enumerate_exponents
-from .errors import DegeneratePencilError, ValidationError, _check_tol
+from .combinatorics import _class_sizes, _frozen, enumerate_exponents
+from .errors import DecompositionError, DegeneratePencilError, ValidationError, _check_tol
 from .tensor_core import (
     SymmetricTensor,
-    _complex_pair,
     _at_one_scale,
     _class_norm,
     _pow2_exponent,
@@ -34,6 +33,7 @@ from .tensor_core import (
     _read_pair,
     _read_size,
     frobenius_distance,
+    frobenius_norm,
     numerical_rank,
 )
 
@@ -43,18 +43,29 @@ REAL_FIELD_TOL = 1e-12
 DEFAULT_EPSILONS = tuple(2.0**-i for i in range(3, 11))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricDecomposition:
-    """Terms (weight, vector) representing sum_i weight_i * vector_i^xk."""
+    """sum_i weights[i] * vectors[i]^xk, with weights (r,) and vectors (r, n) read-only complex arrays."""
 
     order: int
     dim: int
-    terms: tuple[tuple[complex, tuple[complex, ...]], ...]
+    weights: np.ndarray
+    vectors: np.ndarray
     field_tag: str
+
+    @property
+    def terms(self) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
+        """The terms as (weight, vector) pairs of Python complex numbers, in storage order."""
+        return tuple(zip(self.weights.tolist(), map(tuple, self.vectors.tolist())))
+
+    def __eq__(self, other) -> bool:  # value equality, so the record is not hashable; the shapes carry r and n
+        return (isinstance(other, SymmetricDecomposition) and self.order == other.order
+                and self.field_tag == other.field_tag and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.vectors, other.vectors))
 
 
 def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None) -> SymmetricDecomposition:
-    """Normalize, validate, and deterministically order decomposition terms.
+    """Normalize, validate, and deterministically order decomposition terms, (weight, vector) pairs.
 
     Each vector is scaled so its first nonzero component is 1, the k-th power
     of the scale moving into the weight; a non-finite result is rejected.
@@ -65,46 +76,44 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
         raise ValidationError("a decomposition needs order >= 1")
     if dim < 1:
         raise ValidationError("a decomposition needs dimension >= 1")
-    normalized: list[tuple[complex, tuple[complex, ...]]] = []
-    for weight, vector in terms:
-        v = tuple(complex(c) for c in vector)
-        if len(v) != dim:
-            raise ValidationError(f"vector {v} has {len(v)} components, expected {dim}")
-        pivot = next((c for c in v if c != 0), None)
-        if pivot is None:
-            raise ValidationError("decomposition vectors must be nonzero")
-        try:
-            normalized.append((complex(weight) * pivot**order, tuple(c / pivot for c in v)))
-        except OverflowError:  # complex ** raises where float arithmetic gives inf
-            normalized.append((complex(math.inf), v))
+    rows = [(w, *v) for w, v in terms]
+    if bad := [tuple(map(complex, row[1:])) for row in rows if len(row) != dim + 1]:
+        raise ValidationError(f"vector {bad[0]} has {len(bad[0])} components, expected {dim}")
+    block = np.array(rows, dtype=np.complex128).reshape(len(rows), dim + 1)
+    return _normalized(order, block[:, 0], block[:, 1:], field_tag)
 
-    flat = [w for w, _ in normalized] + [c for _, v in normalized for c in v]
-    if not all(map(cmath.isfinite, flat)):
-        raise ValidationError("decomposition terms must be finite once each vector leads with 1")
+
+@np.errstate(all="ignore")  # a term past the float range reads inf or nan, and so does a zero vector
+def _normalized(order: int, weights: np.ndarray, vectors: np.ndarray, field_tag: str | None) -> SymmetricDecomposition:
+    """make_decomposition's rule on arrays: each vector's pivot is its first nonzero component, and one lexsort orders
+    the terms by (vector[1], or vector[0] where n = 1; weight).  The record keeps the two parts of one new block."""
+    rows = np.arange(len(vectors))
+    lead = (vectors != 0).argmax(axis=1)
+    pivot = vectors[rows, lead][:, None]
+    unit = vectors / pivot
+    unit.real[rows, lead] = 1.0  # numpy divides by a reciprocal, which leaves x / x = 1 - 2^-53 for some x
+    block = np.concatenate((weights[:, None] * pivot**order, unit), axis=1, dtype=np.complex128)
+    if not np.isfinite(block).all():
+        raise ValidationError("decomposition vectors must be nonzero" if not pivot.all()
+                              else "decomposition terms must be finite once each vector leads with 1")
     if field_tag is None:
-        field_tag = "C" if any(x.imag for x in flat) else "R"
-    if field_tag not in ("R", "C"):
+        field_tag = "C" if block.imag.any() else "R"
+    elif field_tag not in ("R", "C"):
         raise ValidationError("field tag must be 'R' or 'C'")
     if field_tag == "R":
-        if any(abs(x.imag) > REAL_FIELD_TOL * abs(x.real) for x in flat):
+        if block.imag.any() and (abs(block.imag) > REAL_FIELD_TOL * abs(block.real)).any():
             raise ValidationError(f"field tag R requires imaginary parts at most {REAL_FIELD_TOL} of the real parts")
-        normalized = [(complex(w.real, 0.0), tuple(complex(c.real, 0.0) for c in v)) for w, v in normalized]
-
-    def sort_key(term):
-        w, v = term
-        anchor = v[1] if len(v) > 1 else v[0]
-        return (anchor.real, anchor.imag, w.real, w.imag)
-
-    return SymmetricDecomposition(order, dim, tuple(sorted(normalized, key=sort_key)), field_tag)
+        block.imag = 0.0
+    block = _frozen(block.take(np.lexsort((block[:, 0], block[:, min(2, block.shape[1] - 1)])), axis=0))
+    return SymmetricDecomposition(order, block.shape[1] - 1, block[:, 0], block[:, 1:], field_tag)
 
 
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
     """Sum of weighted outer powers, in compressed form.  A term of order k > 1 with |v_i|^k past the float range
     is refused whatever its weight, like outer_power."""
-    vectors = np.array([v for _, v in D.terms], dtype=np.complex128).reshape(-1, D.dim)
-    summed = _power_sum(np.array([w for w, _ in D.terms], dtype=np.complex128), vectors, D.order)
+    summed = _power_sum(D.weights, D.vectors, D.order)
     with np.errstate(over="ignore", invalid="ignore"):  # a modulus or its k-th power past the float range reads inf
-        if D.order > 1 and np.abs(vectors).max(initial=0.0) ** D.order == np.inf:  # bounds a term's classes
+        if D.order > 1 and np.abs(D.vectors).max(initial=0.0) ** D.order == np.inf:  # bounds a term's classes
             raise ValidationError("coefficients must be finite")
     return SymmetricTensor._of(D.order, D.dim, summed)
 
@@ -128,7 +137,7 @@ def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_V
     _check_tol(tol)
     p, (r, a) = _at_one_scale(reconstruct(D), A)
     distance = _class_norm(A.order, A.dim, r - a)
-    return VerifyReport(distance * p, distance <= tol * _class_norm(A.order, A.dim, a), len(D.terms))
+    return VerifyReport(distance * p, distance <= tol * _class_norm(A.order, A.dim, a), len(D.weights))
 
 
 def binary_monomial_tensor(k: int) -> SymmetricTensor:
@@ -143,8 +152,8 @@ def _moments(A: SymmetricTensor) -> list[complex]:
     return A._vector.tolist()
 
 
-def _sylvester(m: tuple, nodes, field_tag: str) -> SymmetricDecomposition:
-    """Decomposition with homogeneous nodes (alpha_i, beta_i), roots of a form apolar to m.
+def _sylvester(m: tuple, nodes, field_tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and points of a decomposition with homogeneous nodes (alpha_i, beta_i), roots of a form apolar to m.
 
     Every node is scaled to unit max-norm, a component below rounding level
     set to zero, and one least-squares solve of the Vandermonde system
@@ -164,8 +173,7 @@ def _sylvester(m: tuple, nodes, field_tag: str) -> SymmetricDecomposition:
     rhs = np.array(scaled) / scale
     if field_tag == "R":
         vander, rhs = vander.real, rhs.real
-    weights = p * (scale * np.linalg.lstsq(vander, rhs, rcond=None)[0])
-    return make_decomposition(k, 2, zip(weights.tolist(), points), field_tag=field_tag)
+    return p * (scale * np.linalg.lstsq(vander, rhs, rcond=None)[0]), np.array(points, dtype=np.complex128)
 
 
 def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
@@ -175,7 +183,7 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     binary, of order >= 2, with no class but (1, k - 1), id k - 1, above 1e-12 of that one.  rho = sqrt(k - 1)
     minimizes the rounding sum_j C(k, j) rho^(2(j-k+1)) of the terms, capped at 2^(1000/k) so that rho^k stays
     finite.  The weights solve sum_i w_i u_i^j = m_j / rho^j, a system as well conditioned as the discrete
-    Fourier transform, where the nodes' own rows would span a factor rho^k.
+    Fourier transform, where the nodes' own rows would span a factor rho^k.  A result that verify refuses raises.
     """
     if A.dim != 2:
         raise ValidationError("method monomial needs a binary tensor (dim 2)")
@@ -191,16 +199,19 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
         )
     rho = min(math.sqrt(k - 1), 2.0 ** (1000 / k))
     roots = [(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)]
-    circle = _sylvester((p, scale, [v / rho**j for j, v in enumerate(moments)]), roots, "C")
-    # its terms lead with 1, sorted by their second component, which rho > 0 stretches in order
-    return SymmetricDecomposition(k, 2, tuple((w, (v[0], rho * v[1])) for w, v in circle.terms), "C")
+    weights, points = _sylvester((p, scale, [v / rho**j for j, v in enumerate(moments)]), roots, "C")
+    decomposition = _normalized(k, weights, points * [1.0, rho], "C")
+    if not (report := verify(decomposition, A)).ok:
+        raise DecompositionError(f"monomial decomposition of order {k} does not verify: residual {report.residual:.3g}"
+                                 f" exceeds the bound {DEFAULT_VERIFY_TOL * frobenius_norm(A):.3g}")
+    return decomposition
 
 
 def decompose_monomial_rank_k(k: int) -> SymmetricDecomposition:
     """Rank-k decomposition of the tensor of z1 * z2^(k-1) over C.
 
     The directions are (1, beta_i), beta_i the roots of t^k - rho^k, rho = min(sqrt(k - 1), 2^(1000/k)); the
-    weights come out as beta_i / (k^2 rho^k).  A scan of k = 2..700 verified it for every k up to 495, and at few above.
+    weights come out as beta_i / (k^2 rho^k).  From order 496 verify refuses most; those raise DecompositionError.
     """
     return _roots_of_unity_decomposition(binary_monomial_tensor(k))
 
@@ -302,23 +313,18 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     if field == "R" and disc < 0:
         turn = math.fmod(math.atan2(3 * unit[1] - unit[3], unit[0] - 3 * unit[2]) + math.pi, math.pi)
         nodes = [(math.cos(phi), math.sin(phi)) for phi in ((turn + j * math.pi) / 3 for j in range(3))]
-        decomposition = _sylvester(m, nodes, "R")
+        decomposition = _normalized(3, *_sylvester(m, nodes, "R"), "R")
         if not verify(decomposition, A).ok:
             raise DegeneratePencilError("no real three-term decomposition verifies")
         return PencilResult("real_rank_3", decomposition)
     sq = cmath.sqrt(disc)
     q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    return PencilResult("rank_2", _sylvester(m, [(q, a), (c, q)], field))
-
-
-def _vcombine(u, v, s) -> tuple[complex, ...]:
-    return tuple(complex(a) + s * complex(b) for a, b in zip(u, v))
+    return PencilResult("rank_2", _normalized(3, *_sylvester(m, [(q, a), (c, q)], field), field))
 
 
 def _tangent_vector(u, v, k: int) -> np.ndarray:
     """Class vector of the tangent T(u, v) = d/de (u + e v)^xk at e = 0."""
-    us = [complex(c) for c in u]
-    vs = [complex(c) for c in v]
+    us, vs = u.tolist(), v.tolist()
     return np.array([
         sum(
             e * vs[i] * math.prod(us[ell] ** (q - (ell == i)) for ell, q in enumerate(p))
@@ -391,9 +397,9 @@ class BorderStep:
     witness: SymmetricDecomposition
 
 
-def _tangent_pairs(spec: BorderSequenceSpec) -> list[tuple[tuple[complex, ...], ...]]:
-    """The pairs (u, v) whose tangents T(u, v) = d/de (u + e v)^xk at e = 0 sum to the limit."""
-    return [(spec.base_vectors[i], spec.base_vectors[j]) for i, j in _TANGENT_PAIRS[spec.kind]]
+def _tangent_pairs(spec: BorderSequenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u and v of the pairs whose tangents T(u, v) = d/de (u + e v)^xk at e = 0 sum to the limit."""
+    return tuple(np.array(spec.base_vectors)[list(ids)] for ids in zip(*_TANGENT_PAIRS[spec.kind]))
 
 
 def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
@@ -410,16 +416,14 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
     """
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive; the witness is undefined at the limit")
-    k, n = spec.order, len(spec.base_vectors[0])
-    pairs = _tangent_pairs(spec)
-    if spec.kind == "rank2_to_3":
-        x, y = spec.base_vectors
+    k, (u, v) = spec.order, _tangent_pairs(spec)
+    if spec.kind == "rank2_to_3":  # its two pairs are both (y, x), so the rows are x + y/eta and x - y/eta
         eta = math.sqrt(epsilon)
-        terms = [(eta**2, _vcombine(x, y, 1.0 / eta)), (eta**2, _vcombine(x, y, -1.0 / eta))]
+        weights, vectors = np.full(2, eta**2), v + np.array([[1.0 / eta], [-1.0 / eta]]) * u
     else:
-        terms = [t for u, v in pairs for t in ((1 / epsilon, _vcombine(u, v, epsilon)), (-1 / epsilon, u))]
-    witness = make_decomposition(k, n, terms)
-    limit = SymmetricTensor._of(k, n, sum(_tangent_vector(u, v, k) for u, v in pairs))
+        weights, vectors = np.repeat([1 / epsilon, -1 / epsilon], len(u)), np.concatenate([u + epsilon * v, u])
+    witness = _normalized(k, weights, vectors, None)
+    limit = SymmetricTensor._of(k, u.shape[1], sum(_tangent_vector(a, b, k) for a, b in zip(u, v)))
     return BorderStep(reconstruct(witness), limit, witness)
 
 
@@ -430,15 +434,14 @@ def limit_decomposition(spec: BorderSequenceSpec) -> SymmetricDecomposition:
     Otherwise k terms k*w_i (v + beta_i u)^xk per tangent pair (u, v), from
     the monomial construction with the variable roles swapped.
     """
-    x, y = spec.base_vectors[:2]
+    x, y = np.array(spec.base_vectors[:2])
     if spec.kind == "rank2_to_3":
-        terms = [(1.0 + 0j, _vcombine(x, y, 1.0)), (1.0 + 0j, _vcombine(x, y, -1.0)), (-2.0 + 0j, x)]
-        return make_decomposition(3, len(x), terms)
-    k, pairs = spec.order, _tangent_pairs(spec)
+        return _normalized(3, np.array([1.0, 1.0, -2.0]), np.array([x + y, x - y, x]), None)
+    k, (u, v) = spec.order, _tangent_pairs(spec)
     mono = decompose_monomial_rank_k(k)
-    # monomial vectors arrive normalized as (1, beta_i)
-    terms = [(k * w, _vcombine(v, u, vec[1])) for w, vec in mono.terms for u, v in pairs]
-    return make_decomposition(k, len(x), terms, field_tag="C")
+    # monomial vectors arrive normalized as (1, beta_i); the terms run over the pairs within each beta_i
+    vectors = (v + mono.vectors[:, 1, None, None] * u).reshape(-1, len(x))
+    return _normalized(k, np.repeat(k * mono.weights, len(u)), vectors, "C")
 
 
 def border_distance_table(spec: BorderSequenceSpec) -> list[tuple[float, float]]:
@@ -461,16 +464,9 @@ def fit_loglog_slope(table) -> float:
 
 
 def decomposition_to_json_obj(D: SymmetricDecomposition) -> dict:
-    """JSON object for a decomposition."""
-    return {
-        "order": D.order,
-        "dim": D.dim,
-        "field": D.field_tag,
-        "terms": [
-            {"weight": _complex_pair(w), "vector": [_complex_pair(c) for c in v]}
-            for w, v in D.terms
-        ],
-    }
+    """JSON object for a decomposition: every weight and vector component as a [re, im] pair."""
+    terms = [{"weight": [w.real, w.imag], "vector": [[c.real, c.imag] for c in v]} for w, v in D.terms]
+    return {"order": D.order, "dim": D.dim, "field": D.field_tag, "terms": terms}
 
 
 def decomposition_from_json_obj(obj) -> SymmetricDecomposition:
@@ -487,14 +483,12 @@ def decomposition_from_json_obj(obj) -> SymmetricDecomposition:
     terms_json = obj["terms"]
     if not isinstance(terms_json, list) or not terms_json:
         raise ValidationError("field 'terms': expected a nonempty list")
-    terms = []
+    rows = []
     for item in terms_json:
         if not isinstance(item, dict) or "weight" not in item or "vector" not in item:
             raise ValidationError("field 'terms': each item needs 'weight' and 'vector'")
-        vec = item["vector"]
-        if not isinstance(vec, list) or len(vec) != dim:
+        if not isinstance(vec := item["vector"], list) or len(vec) != dim:
             raise ValidationError(f"field 'vector': expected {dim} component pairs")
-        terms.append(
-            (_read_pair(item["weight"], "weight"), tuple(_read_pair(c, "vector") for c in vec))
-        )
-    return make_decomposition(order, dim, terms, field_tag=field)
+        rows.append([_read_pair(item["weight"], "weight")] + [_read_pair(c, "vector") for c in vec])
+    block = np.array(rows)
+    return _normalized(order, block[:, 0], block[:, 1:], field)

@@ -39,7 +39,11 @@ class NotApplicableError(ValidationError):
     """The requested quantity is undefined for these inputs."""
 
 
-class DegeneratePencilError(RuntimeError):
+class DecompositionError(RuntimeError):
+    """A decomposer could not produce a decomposition that verify accepts."""
+
+
+class DegeneratePencilError(DecompositionError):
     """The 2x2x2 slice pencil has no two distinct eigendirections.
 
     Carries the detected condition as a short string.

@@ -547,6 +547,17 @@ def test_decompose_monomial_at_high_order_verifies(capsys, tmp_path, k):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("k", [496, 700])
+def test_decompose_monomial_refuses_what_verify_would_refuse_exit_1(capsys, tmp_path, k):
+    # the rounding of the k terms passes verify's bound at these orders: one error line, nothing on stdout
+    poly, tensor = tmp_path / "p.txt", tmp_path / "t.json"
+    poly.write_text(f"x1*x2^{k - 1}\n")
+    assert run(capsys, "from-poly", "--in", str(poly), "--out", str(tensor))[0] == 0
+    code, out, err = run(capsys, "decompose", "--in", str(tensor), "--method", "monomial")
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"error: monomial decomposition of order {k} does not verify: residual ")
+
+
 @pytest.mark.parametrize("weight, code", [(2.0, 1), (1.0, 0)])
 def test_verify_at_order_1024_exits_by_the_residual(capsys, tmp_path, weight, code):
     # (x1 + x2)^1024: its class sizes sum to 2^1024, its norm is 2^512

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -29,8 +30,9 @@ from waring.decompose import (
     reconstruct,
     verify,
 )
-from waring.errors import ArithmeticOverflowError, DegeneratePencilError, ValidationError
+from waring.errors import ArithmeticOverflowError, DecompositionError, DegeneratePencilError, ValidationError
 from waring.quantics import parse_quantic, quantic_to_tensor, render_quantic, tensor_to_quantic
+from waring.rank_oracle import generic_symmetric_rank
 from waring.tensor_core import (
     SymmetricTensor, frobenius_distance, frobenius_norm, outer_power, power_span_rank, tensor_from_json_obj,
 )
@@ -175,6 +177,105 @@ def test_decompose_over_r_measures_imaginary_parts_against_the_entries():
     assert verify(decompose_sym222_pencil(real, "R").decomposition, real).ok
 
 
+def _loop_normalized(order, terms, field_tag=None):
+    """The per-term normalization make_decomposition ran before its terms became arrays, kept as the reference."""
+    normalized = []
+    for weight, vector in terms:
+        v = tuple(complex(c) for c in vector)
+        pivot = next(c for c in v if c != 0)
+        normalized.append((complex(weight) * pivot**order, tuple(c / pivot for c in v)))
+    if field_tag is None:
+        field_tag = "C" if any(w.imag or any(c.imag for c in v) for w, v in normalized) else "R"
+    if field_tag == "R":
+        normalized = [(complex(w.real, 0.0), tuple(complex(c.real, 0.0) for c in v)) for w, v in normalized]
+
+    def sort_key(term):
+        w, v = term
+        anchor = v[1] if len(v) > 1 else v[0]
+        return (anchor.real, anchor.imag, w.real, w.imag)
+
+    return tuple(sorted(normalized, key=sort_key)), field_tag
+
+
+def assert_normalized_like_the_loop(d, terms, field_tag=None):
+    # numpy divides complex numbers by a reciprocal and multiplies them with a fused multiply-add, so a weight
+    # or component may move by one ulp of the larger of its |re| and |im|; the order and the tag may not move
+    want, tag = _loop_normalized(d.order, terms, field_tag)
+    assert d.field_tag == tag and len(d.terms) == len(want)
+    got, ref = (np.array([(w, *v) for w, v in t]) for t in (d.terms, want))
+    ulp = np.spacing(np.maximum(abs(ref.real), abs(ref.imag)))
+    assert (abs(got.real - ref.real) <= ulp).all() and (abs(got.imag - ref.imag) <= ulp).all()
+    assert all(v[next(i for i, c in enumerate(v) if c)].real == 1.0 for _, v in d.terms)
+
+
+@pytest.mark.parametrize("k,n", [(3, 10), (4, 8), (5, 6), (6, 5), (5, 8), (6, 6)])
+def test_the_array_normalizer_equals_the_per_term_loop_on_the_grid_cells(k, n):
+    # generic-rank terms as the benchmark's tensor grid draws them, some leading with zeros, complex and real
+    rng = np.random.default_rng([k, n, 17])
+    shape = (generic_symmetric_rank(k, n), n)
+    vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vectors[::4, : n // 2] = 0
+    terms = [(complex(*rng.normal(size=2)), tuple(v)) for v in vectors.tolist()]
+    assert_normalized_like_the_loop(make_decomposition(k, n, terms), terms)
+    real = [(w.real, tuple(c.real for c in v)) for w, v in terms]
+    assert_normalized_like_the_loop(make_decomposition(k, n, real), real)
+    assert_normalized_like_the_loop(make_decomposition(k, n, real, "R"), real, "R")
+
+
+def test_the_array_normalizer_equals_the_per_term_loop_on_the_pencils(monkeypatch):
+    # the pencil hands its weights and unit-max-norm nodes to the normalizer; the loop takes the same terms
+    import waring.decompose as dc
+
+    seen = []
+    normalize = dc._normalized
+
+    def recorded(order, weights, vectors, field_tag):
+        seen.append((list(zip(weights.tolist(), map(tuple, vectors.tolist()))), field_tag))
+        return normalize(order, weights, vectors, field_tag)
+
+    monkeypatch.setattr(dc, "_normalized", recorded)
+    rng = np.random.default_rng(29)
+    tensors = [tensor_from_json_obj(load_fixture("cubic_3xyy_minus_xxx.json")),
+               sym222_from_moments([0.3, 1.0, 1.0, 1.0 + 4e-6])]
+    tensors += [random_sym222(rng, real=True) for _ in range(20)] + [random_sym222(rng) for _ in range(20)]
+    checked = 0
+    for A in tensors:
+        for field in ("C", "R") if all(c.imag == 0 for c in A.coeffs.values()) else ("C",):
+            d = decompose_sym222_pencil(A, field).decomposition
+            terms, tag = seen[-1]
+            assert_normalized_like_the_loop(d, terms, tag)
+            checked += 1
+    assert checked == 64
+
+
+@pytest.mark.parametrize("terms, tag, message", [
+    ([(1.0, (1.0, 2.0, 3.0))], None, "vector ((1+0j), (2+0j), (3+0j)) has 3 components, expected 2"),
+    ([(1.0, (1.0, 1.0)), (1.0, (0.0, 0.0))], None, "decomposition vectors must be nonzero"),
+    ([(1e300, (1e3, 0.0))], None, "decomposition terms must be finite once each vector leads with 1"),
+    ([(1.0, (1e-300, 1e10))], "C", "decomposition terms must be finite once each vector leads with 1"),
+    ([(1.0j, (1.0, 1.0))], "R", "field tag R requires imaginary parts at most 1e-12 of the real parts"),
+    ([(1.0, (1.0, 1.0))], "Q", "field tag must be 'R' or 'C'"),
+])
+def test_make_decomposition_errors_keep_their_text(terms, tag, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make_decomposition(3, 2, terms, tag)
+
+
+def test_a_decomposition_stores_read_only_arrays_and_derives_its_terms():
+    d = make_decomposition(3, 2, [(2.0, (2.0, 4.0)), (1.0, (1.0, -1.0))])
+    assert d.weights.dtype == d.vectors.dtype == np.complex128 and (d.weights.shape, d.vectors.shape) == ((2,), (2, 2))
+    assert not d.weights.flags.writeable and not d.vectors.flags.writeable
+    assert d.terms == ((1 + 0j, (1 + 0j, -1 + 0j)), (16 + 0j, (1 + 0j, 2 + 0j)))
+    assert all(type(w) is complex and all(type(c) is complex for c in v) for w, v in d.terms)
+    # value equality over the arrays, which leaves the record unhashable
+    same = make_decomposition(3, 2, [(1.0, (1.0, -1.0)), (16.0, (1.0, 2.0))])
+    assert same == d and not d != same
+    assert d != make_decomposition(3, 2, d.terms[:1]) and d != make_decomposition(4, 2, d.terms) and d != d.terms
+    assert d != make_decomposition(3, 2, d.terms, "C") and d != make_decomposition(3, 3, [(1.0, (1.0, -1.0, 0.0))])
+    with pytest.raises(TypeError, match="unhashable type: 'SymmetricDecomposition'"):
+        hash(d)
+
+
 _SCALE_SHAPES = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
 
 
@@ -258,6 +359,33 @@ def test_monomial_decomposition_verifies_at_high_order(k):
     assert verify(decompose_monomial_rank_k(k), binary_monomial_tensor(k)).ok
 
 
+def test_the_monomial_method_returns_only_what_verify_accepts():
+    # order 495 verifies; at 496 and 700 the rounding of the k terms passes the bound, and the method says so
+    assert verify(decompose_monomial_rank_k(495), binary_monomial_tensor(495)).ok
+    for k in (496, 700):  # residuals 6.15e-11 and 544 against bounds near 4.5e-11 and 3.8e-11
+        with pytest.raises(DecompositionError, match=rf"order {k} does not verify: residual \S+ exceeds the bound"):
+            decompose_monomial_rank_k(k)
+    assert issubclass(DegeneratePencilError, DecompositionError)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), shift=st.sampled_from([-300, 0, 300]),
+       lead=st.sampled_from([None, 1e-3, 1e-6]), k=st.integers(2, 60))
+def test_every_decomposition_a_public_decomposer_returns_verifies(seed, real, shift, lead, k):
+    # cubics at 2^-300, 1 and 2^300, some with the pencil's lead c21 c03 - c12^2 pushed toward zero
+    m = random_sym222(np.random.default_rng(seed), real)._vector * 2.0**shift
+    if lead is not None and m[1] != 0:
+        m[3] = m[2] * m[2] / m[1] * (1 + lead)
+    A = sym222_from_moments(m.tolist())
+    for field in ("C", "R") if real else ("C",):
+        try:
+            d = decompose_sym222_pencil(A, field).decomposition
+        except DegeneratePencilError:
+            continue
+        assert verify(d, A).ok
+    assert verify(decompose_monomial_rank_k(k), binary_monomial_tensor(k)).ok
+
+
 def test_monomial_k2_is_the_classical_identity():
     # z1 z2 = 1/4 (z1+z2)^2 - 1/4 (z1-z2)^2
     d = decompose_monomial_rank_k(2)
@@ -311,8 +439,9 @@ def test_the_monomial_method_refuses_an_order_verify_cannot_take_before_solving(
     from waring.decompose import _roots_of_unity_decomposition
 
     A = binary_monomial_tensor(k)
-    if k == 1029:
-        assert len(_roots_of_unity_decomposition(A).terms) == k
+    if k == 1029:  # it solves, and its own check refuses the rounding of the 1029 terms
+        with pytest.raises(DecompositionError, match="order 1029 does not verify: residual .* exceeds the bound"):
+            _roots_of_unity_decomposition(A)
         return
     start = time.perf_counter()
     with pytest.raises(ArithmeticOverflowError, match="order 1030 over C\\^2 exceeds the float range"):
@@ -488,7 +617,11 @@ def test_a_subnormal_monomial_decomposes_without_a_warning():
     # pytest turns numpy's RuntimeWarning into an error; dividing by 2^-1074 would overflow 1/p
     from waring.decompose import _roots_of_unity_decomposition
 
-    assert len(_roots_of_unity_decomposition(SymmetricTensor(3, 2, {(1, 2): 5e-324})).terms) == 3
+    A = SymmetricTensor(3, 2, {(1, 2): 1e-310})
+    assert verify(_roots_of_unity_decomposition(A), A).ok
+    # at 2^-1074 the weights round to the subnormal grid, so the terms cannot verify and the method says so
+    with pytest.raises(DecompositionError, match="residual 9.88e-324 exceeds the bound 0$"):
+        _roots_of_unity_decomposition(SymmetricTensor(3, 2, {(1, 2): 5e-324}))
 
 
 def test_pencil_rejects_non_finite_entries():

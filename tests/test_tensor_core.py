@@ -511,7 +511,7 @@ def test_outer_power_is_the_one_term_reconstruct(k, n):
 
     v = random_entries(np.random.default_rng([k, n, 3]), n)
     v = tuple((v / np.abs(v).max()).tolist())
-    want = reconstruct(SymmetricDecomposition(k, n, ((1 + 0j, v),), "C"))._vector
+    want = reconstruct(SymmetricDecomposition(k, n, np.ones(1, complex), np.array([v], complex), "C"))._vector
     assert outer_power(v, k)._vector.tolist() == want.tolist()
 
 
