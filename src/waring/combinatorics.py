@@ -209,9 +209,11 @@ def _head_tail_blocks(k: int, n: int) -> tuple[np.ndarray, int, list, np.ndarray
     """Each order-k class as a head, the first a = k // 2 of its sorted indices j_1 <= ... <= j_k, times a tail.
 
     Graded-lex is ascending lex order on these tuples, so a head's classes are consecutive, their tails those whose
-    smallest index is at least j_a: a suffix of the tails.  The heads ending at one j form a block.  Returns the head
-    exponent columns, block by block, then the tail ones; the head count; per block its head and tail columns, its
-    slice of one buffer holding all blocks and its shape; and the buffer position of every class."""
+    smallest index is at least j_a: a suffix of the tails.  The heads ending at one j form a block.  Returns the
+    monomial factors of the heads, block by block, then of the tails: a column lists those not 1, ids i (b + 1) + e
+    of x_(i+1)^e, e > 0, b = k - a, in ascending i, padded to min(b, n) with id 0, x_1^0; the head count; per block
+    its head and tail columns, its slice of one buffer holding all blocks and its shape; and the buffer position of
+    every class."""
     _check_table(k, n)
     heads, tails = (_exponents(d, n, np.arange(_class_count(d, n))) for d in (k // 2, k - k // 2))
     m_a, m_b = heads.shape[1], tails.shape[1]
@@ -225,8 +227,11 @@ def _head_tail_blocks(k: int, n: int) -> tuple[np.ndarray, int, list, np.ndarray
     spans = zip(*(x.tolist() for x in (bounds[:-1], bounds[1:], starts, np.cumsum(sizes) - sizes, sizes)))
     blocks = [(slice(h0, h1), slice(m_a + s, None), slice(o, o + size), (h1 - h0, m_b - s))
               for h0, h1, s, o, size in spans if size]
-    columns = _frozen(np.concatenate([heads[:, order], tails], axis=1))
-    return columns, m_a, blocks, _frozen(where.astype(np.min_scalar_type(len(where) - 1)))
+    columns = np.concatenate([heads[:, order], tails], axis=1)
+    b, (c, i) = k - k // 2, np.nonzero(columns.T)  # by column, then variable
+    factors = np.zeros((min(b, n), m_a + m_b), dtype=np.min_scalar_type(n * (b + 1) - 1))
+    factors[np.arange(len(c)) - np.searchsorted(c, c), c] = i * (b + 1) + columns[i, c]
+    return _frozen(factors), m_a, blocks, _frozen(where.astype(np.min_scalar_type(len(where) - 1)))
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)

@@ -92,6 +92,7 @@ def _normalized(order: int, weights: np.ndarray, vectors: np.ndarray, field_tag:
     pivot = vectors[rows, lead][:, None]
     unit = vectors / pivot
     unit.real[rows, lead] = 1.0  # numpy divides by a reciprocal, which leaves x / x = 1 - 2^-53 for some x
+    unit.imag[rows, lead] *= 0.0  # and an imaginary part below 1e-16, whose signed zero normalizes again to itself
     block = np.concatenate((weights[:, None] * pivot**order, unit), axis=1, dtype=np.complex128)
     if not np.isfinite(block).all():
         raise ValidationError("decomposition vectors must be nonzero" if not pivot.all()

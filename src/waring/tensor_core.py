@@ -9,8 +9,9 @@ result of symmetrize or decompress keeps its classes, so is_symmetric and
 compress answer from them; other dense tensors are scanned entry by entry.
 
 One read-only graded-lex class vector is shared with a Quantic of the same data.  Class positions come from exponents
-by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes, only _power_sum forms class monomials, and only
-the dense conversions map each dense entry to its class (1-2 bytes).  Both containers are immutable and finite-valued.
+by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes through ndarray.take, only _power_sum forms class
+monomials, from their factors that are not 1, and only the dense conversions map each dense entry to its class (1-2
+bytes).  Both containers are immutable and finite-valued.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _worst_asymmetry(A: DenseTensor) -> tuple[float, tuple, tuple, float, int]:
     e = _pow2_exponent(flat := A.array.reshape(-1))
     flat = flat / 2.0**e
     ids, canon = _dense_tables(A.order, A.dim)
-    dev = np.abs(flat - flat[canon[ids]])
+    dev = np.abs(flat - flat.take(canon.take(ids)))
     j = int(np.argmax(dev))
     idx = tuple(int(i) for i in np.unravel_index(j, A.array.shape))
     return float(dev[j]), idx, tuple(sorted(idx)), float(np.abs(flat).max()), e
@@ -165,7 +166,7 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
         if bad.any():  # the mean of finite entries is finite
             p = 2.0 ** _pow2_exponent(flat)
             means[bad] = _class_means(flat / p, ids, sizes)[bad] * p
-    dense = means[ids]  # before _of turns a -0 mean into +0, as the dense entries keep it
+    dense = means.take(ids)  # before _of turns a -0 mean into +0, as the dense entries keep it
     return DenseTensor._of(SymmetricTensor._of(A.order, A.dim, means), dense)
 
 
@@ -194,7 +195,7 @@ def compress(A: DenseTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetricTens
         raise SymmetryError(f"tensor is not symmetric: |a{idx} - a{canon}| = {worst:.3e}{unit} exceeds {tol:.1e} * "
                             f"{scale:.3e}{unit}", index=idx, canonical=canon)
     canon = _dense_tables(A.order, A.dim)[1]
-    return SymmetricTensor._of(A.order, A.dim, A.array.reshape(-1)[canon])
+    return SymmetricTensor._of(A.order, A.dim, A.array.reshape(-1).take(canon))
 
 
 def _check_dense_order(order: int) -> None:
@@ -210,25 +211,26 @@ def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseT
         raise CapacityError(
             f"dense form needs {total} entries, above the cap of {max_entries}"
         )
-    return DenseTensor._of(S, S._vector[_dense_tables(S.order, S.dim)[0]])
+    return DenseTensor._of(S, S._vector.take(_dense_tables(S.order, S.dim)[0]))
 
 
 def _power_sum(weights: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
     """Class vector of sum_r weights[r] * vectors[r]^xk, left non-finite where it overflows.  A class is a head, the
     monomial of its first k // 2 sorted indices, times a tail; the classes whose heads end at one variable are one
     matrix product of the weighted heads and a suffix of the tails per _head_tail_blocks block: O(r m) multiply-adds
-    for r terms and m classes, plus the head and tail monomials."""
-    columns, m_a, blocks, where = _head_tail_blocks(k, vectors.shape[1])
+    for r terms and m classes, plus min(ceil(k / 2), n) gathered factors for each head and tail monomial."""
+    factors, m_a, blocks, where = _head_tail_blocks(k, vectors.shape[1])
     buffer = np.empty(len(where), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = vectors[:, :, None] ** np.arange(k - k // 2 + 1)
-        monomials = powers[:, 0, columns[0]]
-        for i in range(1, len(columns)):
-            monomials *= powers[:, i, columns[i]]
-        heads = monomials[:, :m_a].T * weights
+        # row i (b + 1) + e of powers holds x_(i+1)^e of each term, b = k - k // 2; a row of monomials is a head or tail
+        powers = (vectors.T[:, None, :] ** np.arange(k - k // 2 + 1)[:, None]).reshape(-1, len(vectors))
+        monomials = powers.take(factors[0], axis=0)
+        for ids in factors[1:]:
+            monomials *= powers.take(ids, axis=0)
+        heads = monomials[:m_a] * weights
         for rows, tails, out, shape in blocks:
-            np.dot(heads[rows], monomials[:, tails], out=buffer[out].reshape(shape))
-    return buffer[where]
+            np.dot(heads[rows], monomials[tails].T, out=buffer[out].reshape(shape))
+    return buffer.take(where)
 
 
 def outer_power(v, k: int) -> SymmetricTensor:

@@ -182,9 +182,18 @@ def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
 def test_head_tail_blocks_hold_every_class_once(k, n):
     from waring.combinatorics import _class_columns, _head_tail_blocks
 
-    columns, heads, blocks, where = _head_tail_blocks(k, n)
+    factors, heads, blocks, where = _head_tail_blocks(k, n)
+    b = k - k // 2
+    assert factors.shape[0] == min(b, n) and factors.dtype == np.min_scalar_type(n * (b + 1) - 1)
+    # a column lists the factors x_(i+1)^e, e > 0, as ids i (b + 1) + e in ascending i, then pads with id 0, x_1^0
+    variables, exponents = divmod(factors.astype(np.int64), b + 1)
+    used = factors != 0
+    assert (exponents[used] > 0).all() and (used[:-1] >= used[1:]).all()
+    assert ((variables[1:] > variables[:-1]) | ~used[1:]).all()
+    columns = np.zeros((n, factors.shape[1]), dtype=np.int64)  # the exponent columns the ids decode to
+    np.add.at(columns, (variables, np.arange(factors.shape[1])), exponents)
     assert columns[:, :heads].sum(axis=0).tolist() == [k // 2] * heads
-    assert columns[:, heads:].sum(axis=0).tolist() == [k - k // 2] * (columns.shape[1] - heads)
+    assert columns[:, heads:].sum(axis=0).tolist() == [b] * (columns.shape[1] - heads)
     m, filled = sym_dimension(k, n), 0
     entries = np.zeros((n, m), dtype=np.int64)  # the exponents each buffer entry gets: head plus tail
     for rows, tails, out, shape in blocks:

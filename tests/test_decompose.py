@@ -801,6 +801,23 @@ def test_decomposition_json_round_trip():
     assert back == d
 
 
+def test_the_json_round_trip_of_every_returned_decomposition_is_exact():
+    # a complex pivot's lead is pivot / pivot, whose imaginary part may read about 1e-16, so reading the record back
+    # normalized it again and moved the terms in the last bit; the normalizer now leaves that part a signed zero
+    rng = np.random.default_rng(31)
+    decompositions = [decompose_monomial_rank_k(k) for k in range(2, 61)]
+    for real in [False] * 200 + [True] * 100:
+        A = random_sym222(rng, real)
+        for field in ("C", "R") if real else ("C",):
+            try:
+                decompositions.append(decompose_sym222_pencil(A, field).decomposition)
+            except DegeneratePencilError:
+                pass
+    assert len(decompositions) > 450
+    for d in decompositions:
+        assert decomposition_from_json_obj(json.loads(json.dumps(decomposition_to_json_obj(d)))) == d
+
+
 def test_decomposition_json_field_errors():
     with pytest.raises(ValidationError, match="order"):
         decomposition_from_json_obj({"dim": 2, "field": "C", "terms": []})

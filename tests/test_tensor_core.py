@@ -504,6 +504,45 @@ def test_algebra_kernels_match_the_loops(k, n):
     assert abs(apolar_form(form, power) - ref_apolar(form.terms, power.terms)) <= 1e-12 * (1.0 + size.real)
 
 
+def ref_power_sum(weights, vectors, k):
+    """The power-sum kernel before its tables listed only the factors that are not 1: one gather and one multiply
+    per variable over every head and tail, on the exponent columns the factor ids decode to."""
+    from waring.combinatorics import _head_tail_blocks
+
+    factors, m_a, blocks, where = _head_tail_blocks(k, vectors.shape[1])
+    b = k - k // 2
+    columns = np.zeros((vectors.shape[1], factors.shape[1]), dtype=np.intp)
+    np.add.at(columns, (factors // (b + 1), np.arange(factors.shape[1])), factors % (b + 1))
+    buffer = np.empty(len(where), dtype=np.complex128)
+    powers = vectors[:, :, None] ** np.arange(b + 1)
+    monomials = powers[:, 0, columns[0]]
+    for i in range(1, len(columns)):
+        monomials *= powers[:, i, columns[i]]
+    heads = monomials[:, :m_a].T * weights
+    for rows, tails, out, shape in blocks:
+        np.dot(heads[rows], monomials[:, tails], out=buffer[out].reshape(shape))
+    return buffer[where]
+
+
+GRID_CELLS = [(3, 10), (4, 8), (5, 6), (6, 5), (5, 8), (6, 6)]
+
+
+@pytest.mark.parametrize("k,n", sorted(set(KERNEL_SHAPES + GRID_CELLS)) + [(2, 300), (1028, 2), (100_000, 1)])
+def test_power_sum_equals_the_per_variable_gather(k, n):
+    # a factor of 1 changes no product, so skipping it leaves every value; the matrix products sum as they did
+    from waring.rank_oracle import generic_symmetric_rank
+    from waring.tensor_core import _power_sum
+
+    rng = np.random.default_rng([k, n, 5])
+    generic = generic_symmetric_rank(k, n) if k >= 3 and n >= 2 else n if k == 2 else 1  # a quadratic form: n
+    for r in sorted({1, 3, generic}):
+        weights, vectors = random_entries(rng, r), random_entries(rng, (r, n))
+        vectors /= np.abs(vectors)  # on the unit circle, so order 10^5 stays finite
+        vectors[rng.random((r, n)) < 0.3] = 0
+        got, want = _power_sum(weights, vectors, k), ref_power_sum(weights, vectors, k)
+        assert np.isfinite(want).all() and (got == want).all()
+
+
 @pytest.mark.parametrize("k,n", KERNEL_SHAPES + [(2, 300), (100_000, 1)])
 def test_outer_power_is_the_one_term_reconstruct(k, n):
     # one kernel forms both, so they agree class by class; order 10^5 over C^1 takes the unit circle
