@@ -74,20 +74,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _load_json(path: str):
-    text = Path(path).read_text()
+def _read_input(path: str, parse=str):
+    """parse(text) of an input file; undecodable bytes and nesting past the recursion limit are bad input."""
     try:
-        return json.loads(text)
+        return parse(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path}: nested too deeply to parse") from None
     except ValueError as exc:  # an integer literal with more digits than int() converts
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_symmetric(path: str) -> SymmetricTensor:
-    t = tensor_from_json_obj(_load_json(path))
+    t = tensor_from_json_obj(_read_input(path, json.loads))
     return t if isinstance(t, SymmetricTensor) else compress(t)
 
 
@@ -138,7 +140,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    t = tensor_from_json_obj(_load_json(args.infile))
+    t = tensor_from_json_obj(_read_input(args.infile, json.loads))
     dense = t if isinstance(t, DenseTensor) else decompress(t)
     s = compress(symmetrize(dense))
     _emit_json(tensor_to_json_obj(s), args.out)
@@ -151,8 +153,7 @@ def _cmd_to_poly(args) -> int:
 
 
 def _cmd_from_poly(args) -> int:
-    text = Path(args.infile).read_text()
-    tensor = quantic_to_tensor(parse_quantic(text.strip()))
+    tensor = quantic_to_tensor(parse_quantic(_read_input(args.infile).strip()))
     _emit_json(tensor_to_json_obj(tensor), args.out)
     return 0
 
@@ -167,14 +168,14 @@ def _cmd_decompose(args) -> int:
         result = decompose_sym222_pencil(s, args.field)
         decomposition = result.decomposition
         if args.out:
-            print(f"classification {result.classification} terms {len(decomposition.terms)}")
+            print(f"classification {result.classification} terms {len(decomposition.weights)}")
     _emit_json(decomposition_to_json_obj(decomposition), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     s = _load_symmetric(args.tensor)
-    decomposition = decomposition_from_json_obj(_load_json(args.decomp))
+    decomposition = decomposition_from_json_obj(_read_input(args.decomp, json.loads))
     report = verify(decomposition, s, args.tol)
     residual = report.residual if math.isfinite(report.residual) else None
     _emit_json({"residual": residual, "ok": report.ok, "stated_rank": report.stated_rank})

@@ -228,7 +228,7 @@ def _head_tail_blocks(k: int, n: int) -> tuple[np.ndarray, int, list, np.ndarray
     blocks = [(slice(h0, h1), slice(m_a + s, None), slice(o, o + size), (h1 - h0, m_b - s))
               for h0, h1, s, o, size in spans if size]
     columns = np.concatenate([heads[:, order], tails], axis=1)
-    b, (c, i) = k - k // 2, np.nonzero(columns.T)  # by column, then variable
+    b, (c, i) = k - k // 2, divmod(np.flatnonzero(columns.T), n)  # by column, then variable
     factors = np.zeros((min(b, n), m_a + m_b), dtype=np.min_scalar_type(n * (b + 1) - 1))
     factors[np.arange(len(c)) - np.searchsorted(c, c), c] = i * (b + 1) + columns[i, c]
     return _frozen(factors), m_a, blocks, _frozen(where.astype(np.min_scalar_type(len(where) - 1)))

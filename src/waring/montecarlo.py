@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .decompose import _catalecticant_kernel, _moments, _pencil_rule, _require_sym222, _scaled_entries
+from .decompose import _catalecticant_kernel, _pencil_rule, _require_sym222, _scaled_entries
 from .errors import ValidationError, WorkerError
 from .tensor_core import DenseTensor, SymmetricTensor
 
@@ -162,9 +162,8 @@ def _label_masks(case: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return live & (disc > 0), live & (disc < 0), degenerate
 
 
-def _classify(case: str, values: list) -> str:
-    _, unit = _scaled_entries(values, "R")
-    masks = _label_masks(case, np.array([unit]))
+def _classify(case: str, values: np.ndarray) -> str:
+    masks = _label_masks(case, _scaled_entries(values, "R")[2][None, :])
     return next(label for label, mask in zip(_LABELS, masks) if mask[0])
 
 
@@ -176,7 +175,7 @@ def classify_sym222(A: SymmetricTensor) -> str:
     the branch of decompose_sym222_pencil over R: rank_2, real_rank_3 or an error.
     """
     _require_sym222(A)
-    return _classify("sym222", _moments(A))
+    return _classify("sym222", A._vector)
 
 
 def classify_asym222(T: DenseTensor) -> str:
@@ -188,7 +187,7 @@ def classify_asym222(T: DenseTensor) -> str:
     """
     if T.array.shape != (2, 2, 2):
         raise ValidationError(f"expected shape (2, 2, 2), got {T.array.shape}")
-    return _classify("asym222", T.array.ravel().tolist())
+    return _classify("asym222", T.array.reshape(-1))
 
 
 def _run_block(case: str, seed: int, lo: int, hi: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_count, _class_size, _class_sizes
+from .combinatorics import _class_count, _class_keys, _class_size, _class_sizes
 from .errors import ArithmeticOverflowError, ValidationError
 from .tensor_core import SymmetricTensor, _frozen_finite, _pow2_exponent, _power_sum, outer_power
 
@@ -160,13 +160,13 @@ def _signed_term(p: tuple[int, ...], a: complex) -> tuple[str, str]:
 def render_quantic(F: Quantic) -> str:
     """Text form with monomial coefficients, e.g. '3*x1*x2^2 - x1^3'.
 
-    Terms appear in ascending lexicographic exponent order.  The printed
-    coefficient is multinomial(p) times the stored a_p.
+    Terms appear in ascending lexicographic exponent order, the reverse of the graded-lex class order.  The
+    printed coefficient is multinomial(p) times the stored a_p.
     """
-    terms = F.terms
-    if not terms:
+    nz = np.flatnonzero(vec := F._tensor._vector)[::-1]
+    if not len(nz):
         return "0"
-    (sign, first), *rest = (_signed_term(p, terms[p]) for p in sorted(terms))
+    (sign, first), *rest = map(_signed_term, _class_keys(F.degree, F.nvars, nz), vec[nz].tolist())
     return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 

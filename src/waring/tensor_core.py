@@ -8,10 +8,11 @@ arrays are materialized on demand under a configurable entry cap.  A dense
 result of symmetrize or decompress keeps its classes, so is_symmetric and
 compress answer from them; other dense tensors are scanned entry by entry.
 
-One read-only graded-lex class vector is shared with a Quantic of the same data.  Class positions come from exponents
-by arithmetic, kernels read per-(k, n) tables of the 8 latest shapes through ndarray.take, only _power_sum forms class
-monomials, from their factors that are not 1, and only the dense conversions map each dense entry to its class (1-2
-bytes).  Both containers are immutable and finite-valued.
+One read-only graded-lex class vector is shared with a Quantic of the same data, and the JSON writer reads it, or the
+dense array, as it is; coeffs derives a dict.  Class positions come from exponents by arithmetic, kernels read
+per-(k, n) tables of the 8 latest shapes through ndarray.take, only _power_sum forms class monomials, from their
+factors that are not 1, and only the dense conversions map each dense entry to its class (1-2 bytes).  Both
+containers are immutable and finite-valued.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
 
-def _pow2_exponent(values) -> int:
-    """e with 2^e <= the largest |re| or |im| of values (a contiguous array, or a list read without numpy) < 2^(e+1),
-    but at least -1022 so that 2^-e is finite too: dividing by 2^e is then exact above the subnormal range, and
-    leaves every |re| and |im| below 2."""
-    if isinstance(values, list):
-        return max(math.frexp(max(abs(c) for v in values for c in (v.real, v.imag)))[1] - 1, -1022)
+def _pow2_exponent(values: np.ndarray) -> int:
+    """e with 2^e <= the largest |re| or |im| < 2^(e+1) of a real array or a complex one contiguous in its last axis,
+    but at least -1022 so 2^-e is finite: dividing by 2^e is exact above the subnormals, and leaves |re|, |im| < 2."""
     return max(math.frexp(abs(values.view(float)).max())[1] - 1, -1022)
 
 
@@ -355,32 +353,30 @@ def frobenius_distance(A: SymmetricTensor, B: SymmetricTensor) -> float:
     return _class_norm(A.order, A.dim, a - b) * p
 
 
-def _complex_pair(value: complex) -> list[float]:
-    c = complex(value)
-    return [c.real, c.imag]
+def _pairs(values: np.ndarray) -> list:
+    """[re, im] lists of Python floats, nested as the complex array values is: the float view of a trailing axis."""
+    return values[..., None].view(float).tolist()
 
 
 def tensor_to_json_obj(x) -> dict:
     """JSON object for a DenseTensor (format dense) or SymmetricTensor (format sym)."""
     if isinstance(x, DenseTensor):
-        flat = x.array.reshape(-1)
-        return {
-            "order": x.order,
-            "dim": x.dim,
-            "format": "dense",
-            "entries": [_complex_pair(v) for v in flat],
-        }
+        return {"order": x.order, "dim": x.dim, "format": "dense", "entries": _pairs(x.array.reshape(-1))}
     if isinstance(x, SymmetricTensor):
-        return {
-            "order": x.order,
-            "dim": x.dim,
-            "format": "sym",
-            "coeffs": [
-                {"exponent": list(p), "value": _complex_pair(v)}
-                for p, v in x.coeffs.items()
-            ],
-        }
+        nz = np.flatnonzero(x._vector)
+        coeffs = zip(_class_keys(x.order, x.dim, nz), _pairs(x._vector[nz]))
+        return {"order": x.order, "dim": x.dim, "format": "sym",
+                "coeffs": [{"exponent": list(p), "value": v} for p, v in coeffs]}
     raise ValidationError(f"cannot serialize {type(x).__name__} as a tensor")
+
+
+def _fields(obj, keys: tuple[str, ...]) -> list:
+    """obj[key] for each key, obj a JSON object that holds them all."""
+    if not isinstance(obj, dict):
+        raise ValidationError("field '<root>': expected a JSON object")
+    if missing := [key for key in keys if key not in obj]:
+        raise ValidationError(f"field '{missing[0]}': missing")
+    return [obj[key] for key in keys]
 
 
 def _read_pair(obj, field: str) -> complex:
@@ -407,22 +403,17 @@ def _read_size(value, field: str) -> int:
 
 def tensor_from_json_obj(obj):
     """Parse the tensor JSON format back into a DenseTensor or SymmetricTensor."""
-    if not isinstance(obj, dict):
-        raise ValidationError("field '<root>': expected a JSON object")
+    _fields(obj, ())  # a JSON object
     fmt = obj.get("format")
     if fmt == "dense":
-        for key in ("order", "dim", "entries"):
-            if key not in obj:
-                raise ValidationError(f"field '{key}': missing")
-        order, dim = _read_size(obj["order"], "order"), _read_size(obj["dim"], "dim")
+        order, dim, entries = _fields(obj, ("order", "dim", "entries"))
+        order, dim = _read_size(order, "order"), _read_size(dim, "dim")
         _check_dense_order(order)
-        entries = obj["entries"]
         # dim > len(entries) already mismatches, and otherwise dim**order stays a few hundred digits
         if not isinstance(entries, list) or dim > len(entries) or len(entries) != dim**order:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
             raise ValidationError(f"field 'entries': expected {dim}**{order} pairs, got {got}")
-        flat = [_read_pair(e, "entries") for e in entries]
-        return DenseTensor(np.array(flat, dtype=np.complex128).reshape((dim,) * order))
+        return DenseTensor(np.array([_read_pair(e, "entries") for e in entries]).reshape((dim,) * order))
     if fmt == "sym":
         coeffs_json = obj.get("coeffs")
         if not isinstance(coeffs_json, list):
@@ -436,13 +427,10 @@ def tensor_from_json_obj(obj):
                 raise ValidationError("field 'exponent': expected a list of integers")
             p = as_exponent(exp)
             coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")
-        order = obj.get("order")
-        dim = obj.get("dim")
+        order, dim = obj.get("order"), obj.get("dim")
         if order is None or dim is None:
             if not coeffs:
-                raise ValidationError(
-                    "field 'order'/'dim': required when 'coeffs' is empty"
-                )
+                raise ValidationError("field 'order'/'dim': required when 'coeffs' is empty")
             some = next(iter(coeffs))
             order = sum(some) if order is None else order
             dim = len(some) if dim is None else dim

@@ -639,3 +639,23 @@ def test_demo_border_refuses_one_step_at_parse_time(capsys, monkeypatch):
     code, out, err = run(capsys, "demo-border", "--kind", "rank2to3", "--steps", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage:") and "argument --steps: expected at least 2" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["not-utf8", "nested-100000-deep"])
+@pytest.mark.parametrize("command", ["to-poly", "from-poly", "symmetrize", "decompose", "verify-tensor", "verify-decomp"])
+def test_an_input_file_that_cannot_be_read_is_bad_input(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "to-poly": ["to-poly", "--in", str(bad)],
+        "from-poly": ["from-poly", "--in", str(bad)],
+        "symmetrize": ["symmetrize", "--in", str(bad)],
+        "decompose": ["decompose", "--in", str(bad), "--method", "pencil"],
+        "verify-tensor": ["verify", "--tensor", str(bad), "--decomp", str(FIXTURES / "a31_decomposition.json")],
+        "verify-decomp": ["verify", "--tensor", str(FIXTURES / "a31_tensor.json"), "--decomp", str(bad)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if command != "from-poly" or content == b"\xff\xfe":  # deep brackets are a quantic that does not parse
+        assert str(bad) in err

@@ -293,3 +293,25 @@ def test_first_coeffs_of_a_wide_order_1_tensor_is_fast():
     start = time.perf_counter()
     assert s.coeffs == {(0,) * 999_999 + (1,): 1.0}
     assert time.perf_counter() - start < 1.0  # one searchsorted per variable took 8 s
+
+
+def _nonzero_factor_ids(k, n):
+    """The factor table of _head_tail_blocks built from the (column, variable) pairs of a 2-D np.nonzero."""
+    from waring.combinatorics import _class_count, _exponents
+
+    heads, tails = (_exponents(d, n, np.arange(_class_count(d, n))) for d in (k // 2, k - k // 2))
+    last = np.argmax(np.cumsum(heads, axis=0) == k // 2, axis=0)
+    columns = np.concatenate([heads[:, np.argsort(last, kind="stable")], tails], axis=1)
+    b, (c, i) = k - k // 2, np.nonzero(columns.T)
+    factors = np.zeros((min(b, n), columns.shape[1]), dtype=np.min_scalar_type(n * (b + 1) - 1))
+    factors[np.arange(len(c)) - np.searchsorted(c, c), c] = i * (b + 1) + columns[i, c]
+    return factors
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 2), (2, 300), (5, 4), (6, 6), (8, 12), (9, 3)])
+def test_head_tail_factor_ids_equal_the_two_dimensional_nonzero_construction(k, n):
+    from waring.combinatorics import _head_tail_blocks
+
+    factors, reference = _head_tail_blocks(k, n)[0], _nonzero_factor_ids(k, n)
+    assert (factors.shape, factors.dtype) == (reference.shape, reference.dtype)
+    assert factors.tobytes() == reference.tobytes()

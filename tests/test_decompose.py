@@ -945,3 +945,64 @@ def test_decomposition_json_reader_raises_only_typed_errors(obj):
     decomposition = _read_or_typed_error(decomposition_from_json_obj, obj)
     if decomposition is not None:
         assert type(decomposition.order) is int and type(decomposition.dim) is int
+
+
+# --- the array pencil against the Python scaling it replaced -------------------------
+
+
+def _python_scaled_pencil(A, field):
+    """(weights, points) of the pencil with the moments and nodes scaled one Python number at a time and the
+    Vandermonde built by a comprehension, or None for a degenerate pencil."""
+    from waring.decompose import _catalecticant_kernel, _pencil_rule
+
+    values = [v.real for v in A._vector.tolist()] if field == "R" else A._vector.tolist()
+    p = 2.0 ** max(math.frexp(max(abs(c) for v in values for c in (v.real, v.imag)))[1] - 1, -1022)
+    scaled = [v / p for v in values]
+    scale = max(map(abs, scaled))
+    unit = [v / (scale or 1.0) for v in scaled]
+    a, b, c = _catalecticant_kernel(*unit)
+    masks, disc = _pencil_rule(a, b, c)
+    if any(masks):
+        return None
+    if field == "R" and disc < 0:
+        turn = math.fmod(math.atan2(3 * unit[1] - unit[3], unit[0] - 3 * unit[2]) + math.pi, math.pi)
+        nodes = [(math.cos(phi), math.sin(phi)) for phi in ((turn + j * math.pi) / 3 for j in range(3))]
+    else:
+        sq = cmath.sqrt(disc)
+        q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
+        nodes = [(q, a), (c, q)]
+    eps = np.finfo(float).eps
+    points = [tuple(c / s if abs(c) > eps * s else 0.0 for c in node)
+              for node in nodes for s in [max(abs(node[0]), abs(node[1]))]]
+    vander = np.array([[x ** (3 - j) * y**j for x, y in points] for j in range(4)])
+    rhs = np.array(scaled) / scale
+    if field == "R":
+        vander, rhs = vander.real, rhs.real
+    return p * (scale * np.linalg.lstsq(vander, rhs, rcond=None)[0]), np.array(points, dtype=np.complex128)
+
+
+def test_the_array_pencil_keeps_the_nodes_of_the_python_scaling():
+    from waring.decompose import _normalized
+
+    rng, compared = np.random.default_rng(20261019), 0
+    for i in range(400):
+        real = i % 2 == 0
+        values = rng.standard_normal(4) * 10.0 ** rng.integers(-5, 5) if real else (
+            rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        if i % 7 == 0:
+            values[rng.integers(4)] = 0
+        A = SymmetricTensor(3, 2, dict(zip(enumerate_exponents(3, 2), values.tolist())))
+        for field in ("C", "R") if real else ("C",):
+            reference = _python_scaled_pencil(A, field)
+            if reference is None:
+                with pytest.raises(DegeneratePencilError):
+                    decompose_sym222_pencil(A, field)
+                continue
+            want, got = _normalized(3, *reference, field), decompose_sym222_pencil(A, field).decomposition
+            assert got.vectors.tobytes() == want.vectors.tobytes()  # nodes, term order and signed zeros
+            # numpy's complex products in the Vandermonde move the weights by a few units in the last place
+            ulp = np.spacing(np.maximum(abs(want.weights.real), abs(want.weights.imag)))
+            assert (abs((got.weights - want.weights).real) <= 32 * ulp).all()
+            assert (abs((got.weights - want.weights).imag) <= 32 * ulp).all()
+            compared += 1
+    assert compared >= 600

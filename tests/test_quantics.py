@@ -400,3 +400,25 @@ def test_repr_counts_classes_without_unranking(monkeypatch):
     monkeypatch.setattr(waring.combinatorics, "_exponents", refuse)
     assert repr(F) == "Quantic(degree=3, nvars=3, terms=10)"
     assert repr(quantic_to_tensor(F)) == "SymmetricTensor(order=3, dim=3, classes=10)"
+
+
+def _sorted_dict_render(F):
+    """render_quantic as a walk over the sorted keys of the coefficient dict."""
+    from waring.quantics import _signed_term
+
+    terms = F.terms
+    if not terms:
+        return "0"
+    (sign, first), *rest = (_signed_term(p, terms[p]) for p in sorted(terms))
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (2, 2), (3, 2), (3, 4), (5, 3), (2, 300)])
+def test_render_prints_what_the_sorted_dict_walk_prints(k, n):
+    rng = np.random.default_rng(1000 * k + n)
+    classes = enumerate_exponents(k, n)
+    values = [1.0, -1.0, 0.5, -2.25, 1e-5, 3e7, 1.5j, -0.25 - 2j, complex(-0.0, 1.0), complex(2.0, -0.0)]
+    for _ in range(20):
+        picked = rng.choice(len(classes), size=min(len(classes), int(rng.integers(0, 12))), replace=False)
+        F = Quantic(k, n, {classes[i]: values[rng.integers(len(values))] * rng.choice([1.0, 3.0]) for i in picked})
+        assert render_quantic(F) == _sorted_dict_render(F)

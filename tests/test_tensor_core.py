@@ -758,3 +758,66 @@ def test_numerical_rank_of_huge_or_tiny_entries(scale):
     # the column norms of the unscaled matrix overflow or underflow, which read as rank 0
     assert numerical_rank([[scale], [scale]]) == 1
     assert numerical_rank(scale * np.array([[1, 1], [1, 1j]])) == 2
+
+
+# --- the array JSON writers against the per-value writer they replaced --------------
+
+
+def _complex_pair(value):
+    c = complex(value)
+    return [c.real, c.imag]
+
+
+def _per_value_tensor_json(x):
+    if isinstance(x, DenseTensor):
+        entries = [_complex_pair(v) for v in x.array.reshape(-1)]
+        return {"order": x.order, "dim": x.dim, "format": "dense", "entries": entries}
+    coeffs = [{"exponent": list(p), "value": _complex_pair(v)} for p, v in x.coeffs.items()]
+    return {"order": x.order, "dim": x.dim, "format": "sym", "coeffs": coeffs}
+
+
+def _per_value_decomposition_json(D):
+    terms = [{"weight": _complex_pair(w), "vector": [_complex_pair(c) for c in v]} for w, v in D.terms]
+    return {"order": D.order, "dim": D.dim, "field": D.field_tag, "terms": terms}
+
+
+def _dumps(obj):
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def test_the_json_writers_print_the_fixtures_as_the_per_value_writers_do():
+    from waring.decompose import decomposition_from_json_obj, decomposition_to_json_obj
+
+    for name in ("a31_tensor.json", "cubic_3xyy_minus_xxx.json", "dense_asym222.json"):
+        tensor = tensor_from_json_obj(json.loads((FIXTURES / name).read_text()))
+        assert _dumps(tensor_to_json_obj(tensor)) == _dumps(_per_value_tensor_json(tensor))
+        if isinstance(tensor, SymmetricTensor):
+            dense = decompress(tensor)
+            assert _dumps(tensor_to_json_obj(dense)) == _dumps(_per_value_tensor_json(dense))
+    D = decomposition_from_json_obj(json.loads((FIXTURES / "a31_decomposition.json").read_text()))
+    assert _dumps(decomposition_to_json_obj(D)) == _dumps(_per_value_decomposition_json(D))
+
+
+_edge_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_edge_complex = st.builds(complex, _edge_part, _edge_part)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 3), r=st.integers(1, 4), data=st.data())
+def test_the_json_writers_print_edge_values_as_the_per_value_writers_do(k, n, r, data):
+    from waring.decompose import SymmetricDecomposition, decomposition_to_json_obj
+
+    entries = data.draw(st.lists(_edge_complex, min_size=n**k, max_size=n**k))
+    dense = DenseTensor(np.array(entries, dtype=np.complex128).reshape((n,) * k))
+    assert _dumps(tensor_to_json_obj(dense)) == _dumps(_per_value_tensor_json(dense))
+    coeffs = data.draw(st.dictionaries(st.sampled_from(enumerate_exponents(k, n)), _edge_complex))
+    sym = SymmetricTensor(k, n, coeffs)
+    assert _dumps(tensor_to_json_obj(sym)) == _dumps(_per_value_tensor_json(sym))
+    # weights and vectors as a decomposition stores them: the two column ranges of one block
+    block = np.array(data.draw(st.lists(st.lists(_edge_complex, min_size=n + 1, max_size=n + 1),
+                                        min_size=r, max_size=r)), dtype=np.complex128)
+    D = SymmetricDecomposition(k, n, block[:, 0], block[:, 1:], "C")
+    assert _dumps(decomposition_to_json_obj(D)) == _dumps(_per_value_decomposition_json(D))
