@@ -1,12 +1,12 @@
 """Constructive symmetric outer product decompositions.
 
 Binary tensors go through one route, Sylvester's, on arrays: the moments m_j = a_(k-j, j) are the class vector, the
-nodes are the homogeneous roots of a form apolar to them, and one Vandermonde solve, broadcast from the nodes, gives
-the weights.  The apolar form is t^k - rho^k for the monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2
-tensors; over R with a negative discriminant it is a closed-form cubic whose three real roots lie 60 degrees apart.
-Three border-rank sequences, sums of tangents, have members of low symmetric rank but limits that do not.  A universal
-verifier measures any stated decomposition against any target tensor by rebuilding it through tensor_core's one
-power-sum kernel, which also forms outer powers and the monomials evaluate reads.
+nodes are the homogeneous roots of a form apolar to them, and one Vandermonde solve gives the weights.  The apolar
+form is t^k - rho^k for the monomial z1*z2^(k-1), and the catalecticant kernel for 2x2x2 tensors; over R with a
+negative discriminant it is a cubic whose three real roots lie 60 degrees apart.  All three leave through one exit,
+_sylvester, which returns a decomposition only where verify accepts it and raises DecompositionError otherwise.
+Three border-rank sequences, sums of tangents, have members of low symmetric rank but limits that do not.  verify
+measures any stated decomposition against any target tensor through tensor_core's one power-sum kernel.
 
 A decomposition stores read-only arrays, weights (r,) and vectors (r, n), that every producer hands to one normalizer:
 each vector leads with 1, its scale moved into the weight, and the terms are sorted by the second component so
@@ -35,7 +35,6 @@ from .tensor_core import (
     _read_pair,
     _read_size,
     frobenius_distance,
-    frobenius_norm,
     numerical_rank,
 )
 
@@ -126,21 +125,22 @@ class VerifyReport:
     residual: float
     ok: bool
     stated_rank: int
+    bound: float
 
 
 def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_VERIFY_TOL) -> VerifyReport:
-    """Frobenius residual ||R - A|| of R = reconstruct(D), passed where it is at most tol * ||A||.
+    """Frobenius residual ||R - A|| of R = reconstruct(D), passed where it is at most the bound tol * ||A||.
 
     Both norms are taken of R and A divided by the one 2^e of their largest |re| or |im|, so the comparison
-    holds at any scale; the residual is the scaled one times 2^e, inf only where it passes the float range.
-    With no absolute floor, only an exactly zero reconstruction verifies against the zero tensor.
+    holds at any scale; the residual and the bound are the scaled ones times 2^e, inf only where they pass the
+    float range.  With no absolute floor, only an exactly zero reconstruction verifies against the zero tensor.
     """
     if (D.order, D.dim) != (A.order, A.dim):
         raise ValidationError(f"shape mismatch: decomposition ({D.order}, {D.dim}) vs tensor ({A.order}, {A.dim})")
     _check_tol(tol)
     p, (r, a) = _at_one_scale(reconstruct(D), A)
-    distance = _class_norm(A.order, A.dim, r - a)
-    return VerifyReport(distance * p, distance <= tol * _class_norm(A.order, A.dim, a), len(D.weights))
+    distance, bound = _class_norm(A.order, A.dim, r - a), tol * _class_norm(A.order, A.dim, a)
+    return VerifyReport(distance * p, distance <= bound, len(D.weights), bound * p)
 
 
 def binary_monomial_tensor(k: int) -> SymmetricTensor:
@@ -150,16 +150,17 @@ def binary_monomial_tensor(k: int) -> SymmetricTensor:
     return SymmetricTensor(k, 2, {(1, k - 1): 1.0 / k})
 
 
-def _sylvester(p: float, scale: float, unit: np.ndarray, nodes: np.ndarray, field_tag: str) -> tuple[np.ndarray, ...]:
-    """Weights and points of a decomposition whose nodes, the rows (alpha_i, beta_i) of an (r, 2) array, are roots of
-    a form apolar to the moments m_j = a_(k-j, j), a binary tensor's class vector, given as _scaled_entries gives them.
+def _sylvester(A: SymmetricTensor, label: str, p: float, scale: float, unit: np.ndarray, nodes: np.ndarray,
+               field_tag: str, rho: float = 1.0) -> SymmetricDecomposition:
+    """The one exit of the binary route: A's decomposition over field_tag with nodes (alpha_i, rho beta_i), (alpha_i,
+    beta_i) the rows of an (r, 2) array of roots of a form apolar to A's moments m_j = a_(k-j, j), given as unit =
+    m_j / (p s rho^j) from _scaled_entries, if verify accepts it; else DecompositionError, naming label.
 
-    Every node is divided by its largest modulus, a component below rounding level set to zero, and one least-squares
-    solve of the Vandermonde system sum_i w_i alpha_i^(k-j) beta_i^j = m_j / (p s), formed by broadcasting, gives the
-    weights over p s, so no product overflows.  Over R its real part is solved against the real unit moments.  Each
-    power z^e is z^(e mod 64) (z^64)^(e div 64): numpy's ** takes an exponent from 100 up through the complex log and
-    exponential, and below 128 this is the squarings of Python's **.  At order 494 the residual reads 0.98 of the bound.
-    """
+    Each node is divided by its largest modulus, a component below rounding level set to zero, and one least-squares
+    solve of the Vandermonde system sum_i w_i alpha_i^(k-j) beta_i^j = unit_j, formed by broadcasting, real over R,
+    gives the weights over p s, so no product overflows.  Each power z^e is z^(e mod 64) (z^64)^(e div 64): numpy's
+    ** takes an exponent from 100 up through the complex log and exponential; below 128 these are Python's squarings.
+    At order 494 the residual reads 0.98 of the bound.  A stretch of 1 is skipped: times 1, a -0 part turns +0."""
     j = np.arange(len(unit))
     moduli = np.hypot(nodes.real, nodes.imag)
     top = moduli.max(axis=1, keepdims=True)
@@ -169,7 +170,12 @@ def _sylvester(p: float, scale: float, unit: np.ndarray, nodes: np.ndarray, fiel
     vander = powers[0] * powers[1]
     if field_tag == "R":
         vander = vander.real
-    return p * (scale * np.linalg.lstsq(vander, unit, rcond=None)[0]), points.astype(np.complex128)
+    weights, points = p * (scale * np.linalg.lstsq(vander, unit, rcond=None)[0]), points.astype(np.complex128)
+    decomposition = _normalized(A.order, weights, points if rho == 1 else points * [1.0, rho], field_tag)
+    if not (report := verify(decomposition, A)).ok:
+        raise DecompositionError(f"{label} decomposition of order {A.order} does not verify: residual "
+                                 f"{report.residual:.3g} exceeds the bound {report.bound:.3g}")
+    return decomposition
 
 
 def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
@@ -195,12 +201,7 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
         )
     rho = min(math.sqrt(k - 1), 2.0 ** (1000 / k))
     roots = np.array([(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)])
-    weights, points = _sylvester(p, scale, _over(unit, np.repeat(rho ** np.arange(k + 1), 2)), roots, "C")
-    decomposition = _normalized(k, weights, points * [1.0, rho], "C")
-    if not (report := verify(decomposition, A)).ok:
-        raise DecompositionError(f"monomial decomposition of order {k} does not verify: residual {report.residual:.3g}"
-                                 f" exceeds the bound {DEFAULT_VERIFY_TOL * frobenius_norm(A):.3g}")
-    return decomposition
+    return _sylvester(A, "monomial", p, scale, _over(unit, np.repeat(rho ** np.arange(k + 1), 2)), roots, "C", rho)
 
 
 def decompose_monomial_rank_k(k: int) -> SymmetricDecomposition:
@@ -290,20 +291,18 @@ class PencilResult:
 def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResult:
     """Decompose a 2x2x2 symmetric tensor through its catalecticant kernel.
 
-    Sylvester's method: the kernel (a, b, c) of the 2x3 catalecticant, which
-    is also the slice-pencil determinant det(A0 - t*A1) = a t^2 + b t + c, is
-    a quadratic form apolar to A.  Its two homogeneous roots (q, a) and (c, q),
-    q the cancellation-free root of the quadratic, are the directions of a
-    two-term decomposition; a vanishing a gives the direction (1, 0) with no
-    special case.  One least-squares Vandermonde solve gives the weights.
-    Over R with complex-conjugate roots no real two-term decomposition exists
-    and a verified three-term real decomposition is returned instead,
-    classified real_rank_3: its nodes (cos phi, sin phi), phi = theta + j pi/3,
+    Sylvester's method: the kernel (a, b, c) of the 2x3 catalecticant, which is also the slice-pencil determinant
+    det(A0 - t*A1) = a t^2 + b t + c, is a quadratic form apolar to A.  Its two homogeneous roots (q, a) and (c, q),
+    q the cancellation-free root of the quadratic, are the directions of a two-term decomposition; a vanishing a
+    gives the direction (1, 0) with no special case.  One least-squares Vandermonde solve gives the weights.
+    Over R with complex-conjugate roots no real two-term decomposition exists and a three-term real decomposition
+    is returned instead, classified real_rank_3: its nodes (cos phi, sin phi), phi = theta + j pi/3,
     are the roots of the cubic g = cos 3theta (3 s^2 t - t^3) - sin 3theta (s^3 - 3 s t^2),
     which is apolar, sum_j g_j m_j = 0, when cos 3theta (3 m1 - m3) = sin 3theta (m0 - 3 m2).
     3theta is taken in [0, pi), by an exact fmod, so no node lies at 180 degrees.
-    Degenerate pencils (zero or constant determinant, double eigenvalue) raise
-    DegeneratePencilError.
+    Degenerate pencils (zero or constant determinant, double eigenvalue) raise DegeneratePencilError.  Either branch
+    returns only what verify accepts, else raises DecompositionError: near a double eigenvalue the two terms blow
+    up, and for the nodes (1, 0.3) and (1, 0.3 + d) their rounding passes verify's bound from d = 1e-5 over C.
     """
     _require_sym222(A)
     if field not in ("R", "C"):
@@ -317,13 +316,10 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     if field == "R" and disc < 0:
         turn = math.fmod(math.atan2(3 * unit[1] - unit[3], unit[0] - 3 * unit[2]) + math.pi, math.pi)
         nodes = np.array([(math.cos(phi), math.sin(phi)) for phi in ((turn + j * math.pi) / 3 for j in range(3))])
-        decomposition = _normalized(3, *_sylvester(p, scale, unit, nodes, "R"), "R")
-        if not verify(decomposition, A).ok:
-            raise DegeneratePencilError("no real three-term decomposition verifies")
-        return PencilResult("real_rank_3", decomposition)
+        return PencilResult("real_rank_3", _sylvester(A, "real_rank_3", p, scale, unit, nodes, "R"))
     sq = cmath.sqrt(disc)
     q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    return PencilResult("rank_2", _normalized(3, *_sylvester(p, scale, unit, np.array([(q, a), (c, q)]), field), field))
+    return PencilResult("rank_2", _sylvester(A, "rank_2", p, scale, unit, np.array([(q, a), (c, q)]), field))
 
 
 def _tangent_vector(u, v, k: int) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the one tolerance check."""
+"""Exception types shared across the package, the one tolerance check, and the one way a message quotes input."""
+
+
+def _excerpt(text) -> str:
+    """str(text), or its first 40 characters and '...', so an error line stays short whatever the input."""
+    text = str(text)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class ArithmeticOverflowError(OverflowError):

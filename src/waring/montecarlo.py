@@ -9,7 +9,8 @@ class; the unstructured case draws eight, one per entry.
 The rule is decompose_sym222_pencil's: a pencil quadratic that vanishes, is
 constant in t, or has a double root, relative to its largest coefficient, is
 degenerate.  The classifiers first divide by the largest entry, as the
-decomposer does, so classify_sym222 names the branch it takes over R.
+decomposer does, so classify_sym222 names the branch it takes over R; near a
+double root that branch can still raise, where verify refuses its terms.
 
 The random stream is reproducible by construction.  Draws come from a
 counter-based Philox generator, trial t consuming exactly the uniform block

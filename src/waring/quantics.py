@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import _class_count, _class_keys, _class_size, _class_sizes
-from .errors import ArithmeticOverflowError, ValidationError
+from .errors import ArithmeticOverflowError, ValidationError, _excerpt
 from .tensor_core import SymmetricTensor, _frozen_finite, _pow2_exponent, _power_sum, outer_power
 
 
@@ -76,41 +76,47 @@ def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
     return F._tensor
 
 
-def _finite(value, what: str) -> complex:
+def _multinomial_sum(sizes: np.ndarray, a: np.ndarray, b: np.ndarray, what: str, shift: int = 0) -> complex:
+    """2^shift sum_p sizes_p a_p b_p, taken as (sizes a) @ b; where that is not finite, again from sizes, a and b
+    each divided by the 2^e of its own _pow2_exponent, the e added to shift, so it raises only where the value, not
+    a product or a partial sum, passes the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sizes * a @ b
+        if not cmath.isfinite(value):
+            scales = [_pow2_exponent(x) for x in (sizes, a, b)]
+            sizes, a, b = (x / 2.0**e for x, e in zip((sizes, a, b), scales))
+            value, shift = sizes * a @ b, shift + sum(scales)
+        value = complex(np.ldexp(value.real, shift), np.ldexp(value.imag, shift))
     if not cmath.isfinite(value):
         raise ArithmeticOverflowError(f"{what} overflows the float range")
-    return complex(value)
+    return value
 
 
 def evaluate(F: Quantic, x) -> complex:
-    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p; past the float range it is
-    taken again as 2^(ek) F(x / 2^e), e the _pow2_exponent of the largest |re| or |im| of x, whose factors
-    have modulus below 3, so a nonzero monomial below tiny * 3^k there lost bits to underflow and raises."""
+    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p; where a monomial x^p passes the
+    float range it is taken as 2^(ek) F(x / 2^e), e the _pow2_exponent of the largest |re| or |im| of x, whose
+    factors have modulus below 3, so a nonzero monomial below tiny * 3^k there lost bits to underflow and raises."""
     point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
-    nz, one = vec.nonzero()[0], np.ones(1, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
-        weighted = _class_sizes(k, n)[nz] * vec[nz]
-        value = weighted @ _power_sum(one, point[None, :], k)[nz]
-        if cmath.isfinite(value):
-            return complex(value)
-        e = _pow2_exponent(point)
-        monomials = _power_sum(one, point[None, :] / 2.0**e, k)[nz]
-        nonzero = _power_sum(one, (point != 0).astype(np.complex128)[None, :], k)[nz] != 0
-        if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():
-            raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
-        value = weighted @ monomials
-        return _finite(complex(np.ldexp(value.real, e * k), np.ldexp(value.imag, e * k)), "the value at this point")
+    nz, one, e = vec.nonzero()[0], np.ones(1, dtype=np.complex128), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        monomials = _power_sum(one, point[None, :], k)[nz]
+        if not np.isfinite(monomials).all():
+            e = _pow2_exponent(point)
+            monomials = _power_sum(one, point[None, :] / 2.0**e, k)[nz]
+            nonzero = _power_sum(one, (point != 0).astype(np.complex128)[None, :], k)[nz] != 0
+            if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():
+                raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
+    return _multinomial_sum(_class_sizes(k, n)[nz], vec[nz], monomials, "the value at this point", e * k)
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:
     """Apolar bilinear form sum_p multinomial(p) a_p b_p; symmetric in (F, G)."""
     if (F.degree, F.nvars) != (G.degree, G.nvars):
         raise ValidationError(f"apolar form needs matching shapes: ({F.degree}, {F.nvars}) vs ({G.degree}, {G.nvars})")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects a value that overflowed
-        return _finite(_class_sizes(F.degree, F.nvars) * F._tensor._vector @ G._tensor._vector, "the apolar form")
+    return _multinomial_sum(_class_sizes(F.degree, F.nvars), F._tensor._vector, G._tensor._vector, "the apolar form")
 
 
 def veronese(L, k: int) -> Quantic:
@@ -203,7 +209,7 @@ def _parse_coefficient(token: str) -> complex:
     try:
         return complex(raw.replace(" ", ""))
     except ValueError:
-        raise ValidationError(f"cannot parse coefficient '{token}'") from None
+        raise ValidationError(f"cannot parse coefficient '{_excerpt(token)}'") from None
 
 
 def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
@@ -220,12 +226,12 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
         for raw_factor in chunk.split("*"):
             factor = raw_factor.strip()
             if not factor:
-                raise ValidationError(f"empty factor in term '{chunk}'")
+                raise ValidationError(f"empty factor in term '{_excerpt(chunk)}'")
             m = _FACTOR_RE.match(factor)
             if m is None:
                 if exponents:
                     raise ValidationError(
-                        f"coefficient '{factor}' must precede the variables in term '{chunk}'"
+                        f"coefficient '{_excerpt(factor)}' must precede the variables in term '{_excerpt(chunk)}'"
                     )
                 coeff *= _parse_coefficient(factor)
                 continue
@@ -234,12 +240,12 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
             except ValueError:  # more digits than int() converts
                 raise ValidationError("a variable index or exponent has too many digits") from None
             if var < 1:
-                raise ValidationError(f"variable index must be >= 1 in '{factor}'")
+                raise ValidationError(f"variable index must be >= 1 in '{_excerpt(factor)}'")
             if exp < 1:
-                raise ValidationError(f"exponent must be >= 1 in '{factor}'")
+                raise ValidationError(f"exponent must be >= 1 in '{_excerpt(factor)}'")
             exponents[var] = exponents.get(var, 0) + exp
         if not exponents:
-            raise ValidationError(f"term '{chunk}' has no variables; constants are not homogeneous")
+            raise ValidationError(f"term '{_excerpt(chunk)}' has no variables; constants are not homogeneous")
         parsed.append((coeff, exponents))
     max_var = max(max(exps) for _, exps in parsed)
     n = nvars if nvars is not None else max_var

@@ -25,7 +25,7 @@ import numpy as np
 from .combinatorics import (
     _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, _head_tail_blocks, as_exponent,
 )
-from .errors import CapacityError, SymmetryError, ValidationError, _check_tol
+from .errors import CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt
 
 DENSE_ENTRY_CAP = 10_000_000
 _DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
@@ -98,7 +98,7 @@ class SymmetricTensor:
             if sum(key) != order:
                 if max(key) > order:  # say so without formatting an entry past int's digit limit
                     raise ValidationError(f"an exponent has an entry above the order {order}")
-                raise ValidationError(f"exponent {key} has degree {sum(key)}, expected {order}")
+                raise ValidationError(f"exponent {_excerpt(key)} has degree {sum(key)}, expected {order}")
             value = complex(v)
             if value != 0:
                 vec[_class_id(key)] = value

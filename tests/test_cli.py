@@ -485,6 +485,23 @@ def test_inputs_past_the_bounds_exit_2_with_one_error_line(capsys, tmp_path, com
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param("from-poly", "[" * 100_000, id="brackets"),
+        pytest.param("from-poly", "2*x1*" + "y" * 100_000, id="long-factor"),
+        pytest.param("to-poly", json.dumps(_sym_json(2, 2800, [{"exponent": [1, 1, 1] + [0] * 2797, "value": [1, 0]}])),
+                     id="wide-exponent-of-degree-3"),
+    ],
+)
+def test_an_error_line_quotes_a_long_input_in_part(capsys, tmp_path, command, content):
+    path = tmp_path / "input"
+    path.write_text(content)
+    code, out, err = run(capsys, command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 200 and "..." in err
+
+
 def test_verify_of_a_single_variable_past_the_table_cap_exits_2_with_one_error_line(capsys, tmp_path):
     # order 10^12 over C^1 stores one class, but its reconstruction takes 10^12 + 1 powers
     tensor, decomp = tmp_path / "t.json", tmp_path / "d.json"
@@ -556,6 +573,17 @@ def test_decompose_monomial_refuses_what_verify_would_refuse_exit_1(capsys, tmp_
     code, out, err = run(capsys, "decompose", "--in", str(tensor), "--method", "monomial")
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert err.startswith(f"error: monomial decomposition of order {k} does not verify: residual ")
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_decompose_pencil_refuses_what_verify_would_refuse_exit_1(capsys, tmp_path, field):
+    # (x1 + 0.3 x2)^3 + (x1 + 0.300001 x2)^3: near the double eigenvalue the two terms miss the tensor by 9e-6
+    poly, tensor = tmp_path / "p.txt", tmp_path / "t.json"
+    poly.write_text("2*x1^3 + 1.800003*x1^2*x2 + 0.54000180000300002*x1*x2^2 + 0.054000270000899991*x2^3\n")
+    assert run(capsys, "from-poly", "--in", str(poly), "--out", str(tensor))[0] == 0
+    code, out, err = run(capsys, "decompose", "--in", str(tensor), "--method", "pencil", "--field", field)
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: rank_2 decomposition of order 3 does not verify: residual ")
 
 
 @pytest.mark.parametrize("weight, code", [(2.0, 1), (1.0, 0)])

@@ -386,6 +386,57 @@ def test_every_decomposition_a_public_decomposer_returns_verifies(seed, real, sh
     assert verify(decompose_monomial_rank_k(k), binary_monomial_tensor(k)).ok
 
 
+def _near_double(d, t=1.0):
+    """(x1 + 0.3 x2)^3 + t (x1 + (0.3 + d) x2)^3: its pencil eigenvalues meet as d goes to 0."""
+    return reconstruct(make_decomposition(3, 2, [(1.0, (1.0, 0.3)), (t, (1.0, 0.3 + d))]))
+
+
+@pytest.mark.parametrize("d", [10.0**-e for e in range(2, 9)])
+def test_the_pencil_returns_only_what_verify_accepts_as_the_eigenvalues_meet(d):
+    # rank 2 only through terms that blow up: the set of rank <= 2 is not closed
+    for t in [1.0, *np.random.default_rng(20).uniform(-2.0, 2.0, 3)]:
+        A = _near_double(d, t)
+        for field in ("C", "R"):
+            try:
+                result = decompose_sym222_pencil(A, field)
+            except DecompositionError:
+                continue
+            assert verify(result.decomposition, A).ok, (d, t, field)
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_a_rank_2_result_that_verify_refuses_raises(field):
+    A = _near_double(1e-6)
+    with pytest.raises(DecompositionError) as info:
+        decompose_sym222_pencil(A, field)
+    bound = verify(make_decomposition(3, 2, [(0.0, (1.0, 0.0))]), A).bound
+    want = r"rank_2 decomposition of order 3 does not verify: residual \S+ exceeds the bound " + re.escape(f"{bound:.3g}")
+    assert re.fullmatch(want, str(info.value))
+    assert not isinstance(info.value, DegeneratePencilError)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.5])
+def test_verify_reports_the_bound_it_compared_against(tol):
+    fixtures = [(tensor_from_json_obj(load_fixture("a31_tensor.json")),
+                 decomposition_from_json_obj(load_fixture("a31_decomposition.json")))]
+    cubic = tensor_from_json_obj(load_fixture("cubic_3xyy_minus_xxx.json"))
+    fixtures.append((cubic, decompose_sym222_pencil(cubic, "R").decomposition))
+    fixtures.append((binary_monomial_tensor(60), decompose_monomial_rank_k(60)))
+    for A, D in fixtures:
+        report = verify(D, A, tol)
+        want = tol * frobenius_norm(A)
+        assert abs(report.bound - want) <= 4 * np.spacing(want)
+        assert report.ok == (report.residual <= report.bound)
+
+
+def test_the_monomial_error_prints_the_bound_verify_reports():
+    A = binary_monomial_tensor(496)
+    bound = verify(make_decomposition(496, 2, [(0.0, (1.0, 0.0))]), A).bound
+    with pytest.raises(DecompositionError, match=rf"^monomial decomposition of order 496 does not verify: residual \S+ "
+                                                 rf"exceeds the bound {re.escape(f'{bound:.3g}')}$"):
+        decompose_monomial_rank_k(496)
+
+
 def test_monomial_k2_is_the_classical_identity():
     # z1 z2 = 1/4 (z1+z2)^2 - 1/4 (z1-z2)^2
     d = decompose_monomial_rank_k(2)

@@ -389,6 +389,15 @@ def test_apolar_form_past_the_float_range_is_a_typed_error():
     assert apolar_form(F, parse_quantic("1e-300*x1^2")) == pytest.approx(1.0)
 
 
+def test_a_value_that_fits_is_returned_though_a_product_of_its_operands_does_not():
+    # multinomial(2, 1) * 1e308 passes the float range; the value 3 * 1e308 * 1e-300 = 3e8 does not
+    F = Quantic(3, 2, {(2, 1): 1e308})
+    assert apolar_form(F, Quantic(3, 2, {(2, 1): 1e-300})) == pytest.approx(3e8, rel=1e-15)
+    assert evaluate(F, [1.0, 1e-300]) == pytest.approx(3e8, rel=1e-15)
+    with pytest.raises(ArithmeticOverflowError, match="float range"):
+        evaluate(F, [1.0, 1.0])  # 3e308 itself does not fit
+
+
 def test_repr_counts_classes_without_unranking(monkeypatch):
     import waring.combinatorics
 
