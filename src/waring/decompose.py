@@ -160,7 +160,8 @@ def _sylvester(A: SymmetricTensor, label: str, p: float, scale: float, unit: np.
     solve of the Vandermonde system sum_i w_i alpha_i^(k-j) beta_i^j = unit_j, formed by broadcasting, real over R,
     gives the weights over p s, so no product overflows.  Each power z^e is z^(e mod 64) (z^64)^(e div 64): numpy's
     ** takes an exponent from 100 up through the complex log and exponential; below 128 these are Python's squarings.
-    At order 494 the residual reads 0.98 of the bound.  A stretch of 1 is skipped: times 1, a -0 part turns +0."""
+    At order 494 the residual reads 0.98 of the bound.  The stretch multiplies the float view, as _over divides,
+    so a -0 part keeps its sign."""
     j = np.arange(len(unit))
     moduli = np.hypot(nodes.real, nodes.imag)
     top = moduli.max(axis=1, keepdims=True)
@@ -170,8 +171,9 @@ def _sylvester(A: SymmetricTensor, label: str, p: float, scale: float, unit: np.
     vander = powers[0] * powers[1]
     if field_tag == "R":
         vander = vander.real
-    weights, points = p * (scale * np.linalg.lstsq(vander, unit, rcond=None)[0]), points.astype(np.complex128)
-    decomposition = _normalized(A.order, weights, points if rho == 1 else points * [1.0, rho], field_tag)
+    weights = p * (scale * np.linalg.lstsq(vander, unit, rcond=None)[0])
+    points = (points.astype(np.complex128).view(float) * [1, 1, rho, rho]).view(complex)
+    decomposition = _normalized(A.order, weights, points, field_tag)
     if not (report := verify(decomposition, A)).ok:
         raise DecompositionError(f"{label} decomposition of order {A.order} does not verify: residual "
                                  f"{report.residual:.3g} exceeds the bound {report.bound:.3g}")

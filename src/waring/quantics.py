@@ -77,16 +77,30 @@ def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
 
 
 def _multinomial_sum(sizes: np.ndarray, a: np.ndarray, b: np.ndarray, what: str, shift: int = 0) -> complex:
-    """2^shift sum_p sizes_p a_p b_p, taken as (sizes a) @ b; where that is not finite, again from sizes, a and b
-    each divided by the 2^e of its own _pow2_exponent, the e added to shift, so it raises only where the value, not
-    a product or a partial sum, passes the float range."""
+    """2^shift sum_p sizes_p a_p b_p, taken as (sizes a) @ b; where that is not finite, again term by term: each
+    factor of a nonzero term divided by the 2^e of its own largest |re| or |im|, the term shifted by its summed e
+    less the largest such sum E, and the total scaled back by 2^(E + shift).  It raises where the value passes the
+    float range, and where a term shifted below tiny, each losing less than tiny, leaves a total below
+    terms * tiny * 2^53 or the value lands below tiny: an underflow never reads as 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = sizes * a @ b
         if not cmath.isfinite(value):
-            scales = [_pow2_exponent(x) for x in (sizes, a, b)]
-            sizes, a, b = (x / 2.0**e for x, e in zip((sizes, a, b), scales))
-            value, shift = sizes * a @ b, shift + sum(scales)
-        value = complex(np.ldexp(value.real, shift), np.ldexp(value.imag, shift))
+            live = (a != 0) & (b != 0)
+            terms, exps, top = np.ones(np.count_nonzero(live), dtype=np.complex128), 0, 0
+            for x in (sizes[live], a[live], b[live]):
+                x = x.astype(np.complex128).view(float)
+                e = np.repeat(np.frexp(abs(x).reshape(-1, 2).max(axis=1))[1], 2)
+                terms, exps = terms * np.ldexp(x, -e).view(complex), exps + e[::2]
+            if len(terms):
+                top = exps.max()
+                terms = np.ldexp(terms.view(float), np.repeat(exps - top, 2)).view(complex)
+            tiny, total, shift = np.finfo(float).tiny, terms.sum(), shift + top
+            value = complex(np.ldexp(total.real, shift), np.ldexp(total.imag, shift))
+            lost = (abs(terms) < tiny).any() and abs(total) < len(terms) * tiny * 2.0**53
+            if cmath.isfinite(value) and (lost or (total != 0 and abs(value) < tiny)):
+                raise ArithmeticOverflowError(f"{what} needs terms below the float range")
+        else:
+            value = complex(np.ldexp(value.real, shift), np.ldexp(value.imag, shift))
     if not cmath.isfinite(value):
         raise ArithmeticOverflowError(f"{what} overflows the float range")
     return value

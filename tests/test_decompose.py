@@ -404,6 +404,18 @@ def test_the_pencil_returns_only_what_verify_accepts_as_the_eigenvalues_meet(d):
             assert verify(result.decomposition, A).ok, (d, t, field)
 
 
+@pytest.mark.parametrize("d", [10.0**-e for e in range(2, 9)])
+def test_over_c_the_rank_2_branch_verifies_down_to_d_1e_4_and_raises_below(d):
+    # the threshold the pencil's docstring states: base (1, 0.3), t = 1
+    A = _near_double(d)
+    if d >= 1e-4:
+        result = decompose_sym222_pencil(A, "C")
+        assert result.classification == "rank_2" and verify(result.decomposition, A).ok
+    else:
+        with pytest.raises(DecompositionError, match="^rank_2 decomposition of order 3 does not verify"):
+            decompose_sym222_pencil(A, "C")
+
+
 @pytest.mark.parametrize("field", ["C", "R"])
 def test_a_rank_2_result_that_verify_refuses_raises(field):
     A = _near_double(1e-6)

@@ -398,6 +398,17 @@ def test_a_value_that_fits_is_returned_though_a_product_of_its_operands_does_not
         evaluate(F, [1.0, 1.0])  # 3e308 itself does not fit
 
 
+def test_a_term_that_a_larger_operand_entry_would_push_below_the_float_range_still_counts():
+    # 1e-300 * 1e300 = 1 is the value; divided by the power of two of 1e308, the 1e-300 would read 0
+    F = Quantic(3, 2, {(2, 1): 1e308, (3, 0): 1e-300})
+    assert apolar_form(F, Quantic(3, 2, {(3, 0): 1e300})) == pytest.approx(1.0, rel=1e-15)
+    assert evaluate(F, [1e100, 0.0]) == pytest.approx(1.0, rel=1e-15)
+    # two terms of 3e318 cancel and leave 1e-600, below the float range: that raises rather than reading 0
+    G = Quantic(3, 2, {(2, 1): 1e308, (1, 2): 1e308, (3, 0): 1e-300})
+    with pytest.raises(ArithmeticOverflowError, match="below the float range"):
+        apolar_form(G, Quantic(3, 2, {(2, 1): 1e10, (1, 2): -1e10, (3, 0): 1e-300}))
+
+
 def test_repr_counts_classes_without_unranking(monkeypatch):
     import waring.combinatorics
 
