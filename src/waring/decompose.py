@@ -10,7 +10,7 @@ measures any stated decomposition against any target tensor through tensor_core'
 
 A decomposition stores read-only arrays, weights (r,) and vectors (r, n), that every producer hands to one normalizer:
 each vector leads with 1, its scale moved into the weight, and the terms are sorted by the second component so
-output is deterministic.  reconstruct and the JSON writer read the arrays; terms derives (weight, vector) pairs.
+output is deterministic.  reconstruct, once per record, and the JSON writer read the arrays; terms derives pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,8 @@ DEFAULT_EPSILONS = tuple(2.0**-i for i in range(3, 11))
 
 @dataclass(frozen=True, eq=False)
 class SymmetricDecomposition:
-    """sum_i weights[i] * vectors[i]^xk, with weights (r,) and vectors (r, n) read-only complex arrays."""
+    """sum_i weights[i] * vectors[i]^xk, with weights (r,) and vectors (r, n) read-only complex arrays.  Its
+    reconstruction is computed once per record, and reconstruct returns that one shared, immutable tensor."""
 
     order: int
     dim: int
@@ -63,6 +65,14 @@ class SymmetricDecomposition:
         return (isinstance(other, SymmetricDecomposition) and self.order == other.order
                 and self.field_tag == other.field_tag and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.vectors, other.vectors))
+
+    @cached_property  # not a field, so out of ==, repr and JSON; a refusal is not kept and raises on every read
+    def _reconstruction(self) -> SymmetricTensor:
+        summed = _power_sum(self.weights, self.vectors, self.order)
+        with np.errstate(over="ignore", invalid="ignore"):  # a modulus or its k-th power past the float range reads inf
+            if self.order > 1 and np.abs(self.vectors).max(initial=0.0) ** self.order == np.inf:  # bounds the classes
+                raise ValidationError("coefficients must be finite")
+        return SymmetricTensor._of(self.order, self.dim, summed)
 
 
 def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None) -> SymmetricDecomposition:
@@ -111,13 +121,9 @@ def _normalized(order: int, weights: np.ndarray, vectors: np.ndarray, field_tag:
 
 
 def reconstruct(D: SymmetricDecomposition) -> SymmetricTensor:
-    """Sum of weighted outer powers, in compressed form.  A term of order k > 1 with |v_i|^k past the float range
-    is refused whatever its weight, like outer_power."""
-    summed = _power_sum(D.weights, D.vectors, D.order)
-    with np.errstate(over="ignore", invalid="ignore"):  # a modulus or its k-th power past the float range reads inf
-        if D.order > 1 and np.abs(D.vectors).max(initial=0.0) ** D.order == np.inf:  # bounds a term's classes
-            raise ValidationError("coefficients must be finite")
-    return SymmetricTensor._of(D.order, D.dim, summed)
+    """Sum of weighted outer powers in compressed form, computed once per record: each call returns that shared,
+    immutable tensor.  A term of order k > 1 with |v_i|^k past the float range is refused whatever its weight."""
+    return D._reconstruction
 
 
 @dataclass(frozen=True)

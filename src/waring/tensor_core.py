@@ -169,9 +169,8 @@ def symmetrize(A: DenseTensor) -> DenseTensor:
 
 
 def _class_means(flat: np.ndarray, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    sums = np.empty(len(sizes), dtype=np.complex128)
-    sums.real = np.bincount(ids, weights=flat.real, minlength=len(sizes))
-    sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(sizes))
+    sums = np.zeros(len(sizes), dtype=np.complex128)
+    np.add.at(sums, ids, flat)  # entry by entry in row-major order, the order symmetrize states
     return sums / sizes
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import itertools
 import json
 import math
 import re
@@ -114,6 +116,70 @@ def test_verify_reports_residual_and_rank():
     wrong = make_decomposition(3, 2, [(1.0, (1, 1))])
     rep = verify(wrong, a)
     assert not rep.ok and rep.residual > 0.1
+
+
+def _count_power_sums(monkeypatch) -> list:
+    import waring.decompose as dc
+
+    calls, kernel = [], dc._power_sum
+    monkeypatch.setattr(dc, "_power_sum", lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def _round_trip(d):
+    return decomposition_from_json_obj(json.loads(json.dumps(decomposition_to_json_obj(d))))
+
+
+def test_reconstruct_then_verify_twice_runs_one_power_sum(monkeypatch):
+    # what every tensor-grid op does, plus a second tolerance
+    rng = np.random.default_rng(21)
+    terms = [(complex(*rng.normal(size=2)), tuple(rng.normal(size=3) + 1j * rng.normal(size=3))) for _ in range(6)]
+    a = reconstruct(make_decomposition(4, 3, terms))
+    calls = _count_power_sums(monkeypatch)
+    d = make_decomposition(4, 3, terms)
+    rebuilt = reconstruct(d)
+    loose, tight = verify(d, a, 1e-3), verify(d, a)
+    assert len(calls) == 1 and reconstruct(d) is rebuilt
+    assert loose.ok and tight.ok and (loose.residual, loose.stated_rank) == (tight.residual, tight.stated_rank)
+
+
+@pytest.mark.parametrize("a, decompose", [
+    (quantic_to_tensor(parse_quantic("3*x1*x2^2 - 1*x1^3")), lambda a: decompose_sym222_pencil(a).decomposition),
+    (quantic_to_tensor(parse_quantic("3*x1*x2^2 - 1*x1^3")), lambda a: decompose_sym222_pencil(a, "R").decomposition),
+    (binary_monomial_tensor(5), lambda a: decompose_monomial_rank_k(a.order)),
+], ids=["pencil C", "pencil R", "monomial"])
+def test_verify_after_a_binary_decomposer_runs_no_second_power_sum(monkeypatch, a, decompose):
+    # the decomposer's exit verified the very record it returns, and README's example verifies it again
+    calls = _count_power_sums(monkeypatch)
+    d = decompose(a)
+    assert verify(d, a).ok and len(calls) == 1
+
+
+def test_a_kept_reconstruction_reads_as_a_new_record_bit_for_bit():
+    # the pencil's exit kept d's reconstruction; a new record of the same arrays has none until it is read
+    a = quantic_to_tensor(parse_quantic("3*x1*x2^2 - 1*x1^3 + 0.5j*x2^3"))
+    d = decompose_sym222_pencil(a).decomposition
+    new = dataclasses.replace(d)
+    shown = repr(new), json.dumps(decomposition_to_json_obj(new))
+    assert "_reconstruction" in vars(d) and "_reconstruction" not in vars(new)
+    assert reconstruct(new)._vector.tobytes() == reconstruct(d)._vector.tobytes()
+    assert "_reconstruction" in vars(new) and (repr(new), json.dumps(decomposition_to_json_obj(new))) == shown
+    assert new == d and d == new and repr(d) == shown[0]
+    assert [f.name for f in dataclasses.fields(d)] == ["order", "dim", "weights", "vectors", "field_tag"]
+    for tol, renew in itertools.product((1e-9, 1e-15, 0.0), (dataclasses.replace, _round_trip)):
+        kept, fresh = verify(d, a, tol), verify(renew(d), a, tol)
+        assert (kept.residual.hex(), kept.bound.hex(), kept.ok) == (fresh.residual.hex(), fresh.bound.hex(), fresh.ok)
+
+
+def test_a_reconstruction_that_overflows_is_refused_on_every_call():
+    d = make_decomposition(3, 2, [(2.0**1000, (1, 2.0**10))])
+    a = SymmetricTensor(3, 2, {(3, 0): 1.0})
+    messages = []
+    for call in (reconstruct, lambda d: verify(d, a), reconstruct, lambda d: verify(d, a, 1e-3)):
+        with pytest.raises(ValidationError) as info:
+            call(d)
+        messages.append(str(info.value))
+    assert messages == ["coefficients must be finite"] * 4 and "_reconstruction" not in vars(d)
 
 
 # ||A|| = 2.1e308 overflows, so tol * (1 + ||A||) is infinite at the plain scale

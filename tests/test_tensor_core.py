@@ -527,6 +527,41 @@ def ref_power_sum(weights, vectors, k):
 GRID_CELLS = [(3, 10), (4, 8), (5, 6), (6, 5), (5, 8), (6, 6)]
 
 
+def bincount_class_means(flat, ids, sizes):
+    """The class sums as two real bincounts, one per part, each over intp ids and a contiguous copy of its part."""
+    sums = np.empty(len(sizes), dtype=np.complex128)
+    sums.real = np.bincount(ids, weights=flat.real, minlength=len(sizes))
+    sums.imag = np.bincount(ids, weights=flat.imag, minlength=len(sizes))
+    return sums / sizes
+
+
+@pytest.mark.parametrize("k,n", sorted(set(KERNEL_SHAPES + GRID_CELLS)))
+def test_the_class_sums_equal_two_real_bincounts_byte_for_byte(k, n, monkeypatch):
+    # both add the entries of a class one by one in row-major order from +0, so every bit agrees, signed zeros,
+    # subnormals and a sum past the float range included
+    import waring.tensor_core as tc
+    from waring.combinatorics import _class_sizes, _dense_tables
+
+    rng = np.random.default_rng([k, n, 21])
+    raw = random_entries(rng, n**k)
+    odd = raw.copy()
+    for value in (-0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310):
+        odd.real[rng.random(n**k) < 0.1] = value
+        odd.imag[rng.random(n**k) < 0.1] = value
+    near = (np.tanh(raw.real) + 1j * np.tanh(raw.imag)) * 1.7e308  # with two or more members, a class sum may overflow
+    inputs = [raw, odd, np.full(n**k, -0.0 - 0.0j), np.full(n**k, 5e-324 - 5e-324j), np.full(n**k, 1.5e308), near]
+    ids, sizes = _dense_tables(k, n)[0], _class_sizes(k, n)
+    for flat in inputs:
+        with np.errstate(over="ignore", invalid="ignore"):  # as symmetrize calls it: an overflowed sum reads inf
+            assert tc._class_means(flat, ids, sizes).tobytes() == bincount_class_means(flat, ids, sizes).tobytes()
+    got = [symmetrize(DenseTensor(flat.reshape((n,) * k))) for flat in inputs]
+    monkeypatch.setattr(tc, "_class_means", bincount_class_means)
+    for flat, sym in zip(inputs, got):  # the same holds through the re-sum at a power-of-two scale
+        want = symmetrize(DenseTensor(flat.reshape((n,) * k)))
+        assert sym.array.tobytes() == want.array.tobytes()
+        assert sym._classes._vector.tobytes() == want._classes._vector.tobytes()
+
+
 @pytest.mark.parametrize("k,n", sorted(set(KERNEL_SHAPES + GRID_CELLS)) + [(2, 300), (1028, 2), (100_000, 1)])
 def test_power_sum_equals_the_per_variable_gather(k, n):
     # a factor of 1 changes no product, so skipping it leaves every value; the matrix products sum as they did
@@ -608,8 +643,9 @@ def test_reconstruct_needs_no_scratch_of_heads_times_tails():
 
     from waring.decompose import make_decomposition, reconstruct
 
-    D = make_decomposition(8, 12, [(1.0, tuple(random_entries(np.random.default_rng(8), 12)))])
-    reconstruct(D)  # builds the tables
+    terms = [(1.0, tuple(random_entries(np.random.default_rng(8), 12)))]
+    reconstruct(make_decomposition(8, 12, terms))  # builds the tables
+    D = make_decomposition(8, 12, terms)  # a new record, which has not kept a reconstruction
     tracemalloc.start()
     try:
         reconstruct(D)
