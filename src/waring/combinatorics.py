@@ -126,7 +126,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES_CACHED)
 def _class_count(k: int, n: int) -> int:
     m = sym_dimension(k, n)
     if m > CLASS_CAP:
@@ -134,7 +134,6 @@ def _class_count(k: int, n: int) -> int:
     return m
 
 
-@lru_cache(maxsize=1024)
 def _class_id(p: tuple[int, ...]) -> int:
     """Graded-lex position of an exponent vector p, without a table: where p leaves degree t
     after x_(i+1), the C(n-i-2+t, n-i-1) classes that leave less come first."""
@@ -182,8 +181,8 @@ def _exponents(k: int, n: int, ids) -> np.ndarray:
 
 
 def _class_keys(k: int, n: int, ids: np.ndarray) -> list[tuple[int, ...]]:
-    """Exponent tuples of graded-lex class ids; a few at a time come from a memo, not array calls."""
-    if len(ids) <= 8:
+    """Exponent tuples of graded-lex class ids; a few at a time of few variables come from a memo, not array calls."""
+    if len(ids) <= 8 and n <= 8:
         return [_class_key(k, n, c) for c in ids.tolist()]
     return [tuple(p) for p in _exponents(k, n, ids).T.tolist()]
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_count, _class_keys, _class_size, _class_sizes
+from .combinatorics import _class_count, _class_id, _class_keys, _class_size, _class_sizes
 from .errors import ArithmeticOverflowError, ValidationError, _excerpt
-from .tensor_core import SymmetricTensor, _frozen_finite, _pow2_exponent, _power_sum, outer_power
+from .tensor_core import SymmetricTensor, _frozen_finite, _Immutable, _pow2_exponent, _power_sum, outer_power
 
 
-class Quantic:
+class Quantic(_Immutable):
     """Homogeneous polynomial of degree k in n variables, scaled-basis coefficients.
 
     A view on the SymmetricTensor of the same data: quantic_to_tensor returns it.
@@ -35,13 +35,11 @@ class Quantic:
             raise ValidationError("a quantic needs degree >= 1")
         if nvars < 1:
             raise ValidationError("a quantic needs at least one variable")
-        self._tensor = SymmetricTensor(degree, nvars, terms)
+        self._fill(_tensor=SymmetricTensor(degree, nvars, terms))
 
     @classmethod
     def _of(cls, tensor: SymmetricTensor) -> Quantic:
-        self = object.__new__(cls)
-        self._tensor = tensor
-        return self
+        return object.__new__(cls)._fill(_tensor=tensor)
 
     degree = property(lambda self: self._tensor.order)
     nvars = property(lambda self: self._tensor.dim)
@@ -144,9 +142,10 @@ def veronese(L, k: int) -> Quantic:
 
 
 def scale(F: Quantic, c) -> Quantic:
-    """Scalar multiple of a quantic."""
-    factor = complex(c)
-    return Quantic(F.degree, F.nvars, {p: factor * v for p, v in F.terms.items()})
+    """Scalar multiple of a quantic: Python's complex product on each nonzero class."""
+    factor, nz, out = complex(c), np.flatnonzero(F._tensor._vector), np.zeros_like(F._tensor._vector)
+    out[nz] = [factor * v for v in F._tensor._vector[nz].tolist()]
+    return Quantic._of(SymmetricTensor._of(F.degree, F.nvars, out))
 
 
 def _format_real(x: float) -> str:
@@ -269,9 +268,9 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     if len(degrees) != 1:
         raise ValidationError(f"terms have mixed degrees {sorted(degrees)}; a quantic is homogeneous")
     k = degrees.pop()
-    _class_count(k, n)  # a shape past the class cap fails here, before a tuple of n exponents is built
-    terms: dict[tuple[int, ...], complex] = {}
+    vec = np.zeros(_class_count(k, n), dtype=np.complex128)  # a shape past the class cap fails before any n-tuple
     for coeff, exps in parsed:
         p = tuple(exps.get(i, 0) for i in range(1, n + 1))
-        terms[p] = terms.get(p, 0j) + coeff / _class_size(p)
-    return Quantic(k, n, terms)
+        c = _class_id(p)
+        vec[c] = complex(vec[c]) + coeff / _class_size(p)  # Python's sum: an overflow reads inf, without a warning
+    return Quantic._of(SymmetricTensor._of(k, n, vec))

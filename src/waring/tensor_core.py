@@ -45,7 +45,31 @@ def _frozen_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return _frozen(arr)
 
 
-class DenseTensor:
+class _Immutable:
+    """Slots that only a constructor, copy or pickle sets, through _fill: assigning or deleting one raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _fill(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to '{name}': a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete '{name}': a {type(self).__name__} is immutable")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in type(self).__slots__}
+
+    def __setstate__(self, state):  # a copied or unpickled array is writable until frozen again
+        self._fill(**{name: _frozen(v) if isinstance(v, np.ndarray) else v for name, v in state.items()})
+
+
+class DenseTensor(_Immutable):
     """Cubical order-k dim-n complex array."""
 
     __slots__ = ("order", "dim", "array", "_classes")
@@ -59,24 +83,19 @@ class DenseTensor:
             raise ValidationError("a dense tensor needs dimension >= 1")
         if any(s != n for s in arr.shape):
             raise ValidationError(f"non-cubical shape {arr.shape}")
-        self.order = arr.ndim
-        self.dim = n
-        self.array = _frozen_finite(arr, "dense tensor entries")
-        self._classes = None
+        self._fill(order=arr.ndim, dim=n, array=_frozen_finite(arr, "dense tensor entries"), _classes=None)
 
     @classmethod
     def _of(cls, S: SymmetricTensor, flat: np.ndarray) -> DenseTensor:
         """Take over a fresh row-major expansion of S's classes, keeping S for is_symmetric and compress."""
-        self = object.__new__(cls)
-        self.order, self.dim, self._classes = S.order, S.dim, S
-        self.array = _frozen(flat.reshape((S.dim,) * S.order))
-        return self
+        array = _frozen(flat.reshape((S.dim,) * S.order))
+        return object.__new__(cls)._fill(order=S.order, dim=S.dim, array=array, _classes=S)
 
     def __repr__(self):
         return f"DenseTensor(order={self.order}, dim={self.dim})"
 
 
-class SymmetricTensor:
+class SymmetricTensor(_Immutable):
     """Order-k dim-n symmetric tensor keyed by exponent class.
 
     `coeffs` maps each nonzero class to its entry in graded-lex order; absent
@@ -102,15 +121,13 @@ class SymmetricTensor:
             value = complex(v)
             if value != 0:
                 vec[_class_id(key)] = value
-        self.order, self.dim, self._vector = order, dim, _frozen_finite(vec, "coefficients")
+        self._fill(order=order, dim=dim, _vector=_frozen_finite(vec, "coefficients"))
 
     @classmethod
     def _of(cls, order: int, dim: int, vector: np.ndarray) -> SymmetricTensor:
         """Take over a fresh class vector the library computed for this shape; no key validation."""
         vector[vector == 0] = 0  # a pruned class reads +0, never -0
-        self = object.__new__(cls)
-        self.order, self.dim, self._vector = order, dim, _frozen_finite(vector, "coefficients")
-        return self
+        return object.__new__(cls)._fill(order=order, dim=dim, _vector=_frozen_finite(vector, "coefficients"))
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
@@ -424,13 +441,13 @@ def tensor_from_json_obj(obj):
             exp = item["exponent"]
             if not isinstance(exp, list) or not all(type(e) is int for e in exp):
                 raise ValidationError("field 'exponent': expected a list of integers")
-            p = as_exponent(exp)
+            p = tuple(exp)  # the constructor validates it
             coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")
         order, dim = obj.get("order"), obj.get("dim")
         if order is None or dim is None:
             if not coeffs:
                 raise ValidationError("field 'order'/'dim': required when 'coeffs' is empty")
-            some = next(iter(coeffs))
+            some = as_exponent(next(iter(coeffs)))
             order = sum(some) if order is None else order
             dim = len(some) if dim is None else dim
         return SymmetricTensor(_read_size(order, "order"), _read_size(dim, "dim"), coeffs)

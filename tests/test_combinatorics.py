@@ -166,9 +166,9 @@ def test_class_sizes_are_correctly_rounded_past_the_int64_range():
 
 
 def test_every_table_cache_keeps_the_same_bounded_number_of_shapes():
-    from waring.combinatorics import _class_sizes, _dense_tables, _head_tail_blocks, _id_sums
+    from waring.combinatorics import _class_count, _class_sizes, _dense_tables, _head_tail_blocks, _id_sums
 
-    caches = (_id_sums, _class_sizes, _dense_tables, _head_tail_blocks)
+    caches = (_class_count, _id_sums, _class_sizes, _dense_tables, _head_tail_blocks)
     (bound,) = {cache.cache_info().maxsize for cache in caches}
     assert bound is not None
     for n in range(2, 14):  # 12 shapes, each into every cache
@@ -293,6 +293,35 @@ def test_first_coeffs_of_a_wide_order_1_tensor_is_fast():
     start = time.perf_counter()
     assert s.coeffs == {(0,) * 999_999 + (1,): 1.0}
     assert time.perf_counter() - start < 1.0  # one searchsorted per variable took 8 s
+
+
+def test_coeffs_of_a_wide_tensor_leave_no_key_in_a_memo():
+    from waring.combinatorics import _class_id, _class_key
+    from waring.tensor_core import SymmetricTensor
+
+    key = (0,) * 99_999 + (1,)
+    wide = SymmetricTensor(1, 10**5, {key: 1.0})
+    _class_key.cache_clear()
+    assert wide.coeffs == {key: 1.0}
+    assert _class_key.cache_info().currsize == 0 and not hasattr(_class_id, "cache_info")
+    assert SymmetricTensor(3, 2, {(1, 2): 1.0}).coeffs == {(1, 2): 1.0}
+    assert _class_key.cache_info().currsize == 1  # a binary form's key still comes from the memo
+
+
+def test_every_functools_cache_in_waring_is_bounded():
+    import importlib
+    import pkgutil
+
+    import waring
+
+    caches = set()
+    for info in pkgutil.iter_modules(waring.__path__):
+        for value in vars(importlib.import_module(f"waring.{info.name}")).values():
+            for obj in [value, *vars(value).values()] if isinstance(value, type) else [value]:
+                if hasattr(obj, "cache_parameters"):
+                    caches.add(obj)
+    assert {"_class_count", "_class_key", "_id_sums", "_head_tail_blocks"} <= {c.__name__ for c in caches}
+    assert [c.__name__ for c in caches if c.cache_parameters()["maxsize"] is None] == []
 
 
 def _nonzero_factor_ids(k, n):

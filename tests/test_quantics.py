@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from waring.combinatorics import enumerate_exponents
+from waring.combinatorics import enumerate_exponents, multinomial
 from waring.errors import ArithmeticOverflowError, CapacityError, ValidationError
 from waring.quantics import (
     LinearForm,
@@ -442,3 +443,40 @@ def test_render_prints_what_the_sorted_dict_walk_prints(k, n):
         picked = rng.choice(len(classes), size=min(len(classes), int(rng.integers(0, 12))), replace=False)
         F = Quantic(k, n, {classes[i]: values[rng.integers(len(values))] * rng.choice([1.0, 3.0]) for i in picked})
         assert render_quantic(F) == _sorted_dict_render(F)
+
+
+def test_repeated_terms_that_overflow_are_rejected_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^coefficients must be finite$"):
+            parse_quantic("1e308*x1^2 + 1e308*x1^2")
+
+
+def _keyed_vector(k, n, terms: dict) -> bytes:
+    return quantic_to_tensor(Quantic(k, n, terms))._vector.tobytes()
+
+
+_COEFFICIENTS = ("1", "(-2.5)", "0.1", "(-0.0)", "(-0.0-0j)", "5e-324", "(0-5e-324j)", "2.5e-310", "(1+2j)", "(3-0j)",
+                 "7.25")
+_FACTORS = (2.5, -1.0, 0.1, -0.0, 5e-324, 0.1 - 7.3j, complex(-0.0, 1.0), complex(3.0, -0.0), 1j, 1e300)
+
+
+def test_parse_and_scale_write_the_class_vector_of_the_keyed_constructor():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        classes, terms = enumerate_exponents(k, n), []
+        for _ in range(int(rng.integers(1, 7))):  # repeated terms, with either sign, sum or cancel
+            picked = terms[rng.integers(len(terms))][1:] if terms and rng.random() < 0.4 else (
+                _COEFFICIENTS[rng.integers(len(_COEFFICIENTS))], classes[rng.integers(len(classes))])
+            terms.append(("+-"[rng.integers(2)], *picked))
+        text = " ".join(f"{s} {c}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(p) if e) for s, c, p in terms)
+        F = parse_quantic(text, n)
+        summed = {}  # the reference: per-key sums from 0j, in term order
+        for s, c, p in terms:
+            summed[p] = summed.get(p, 0j) + complex(f"{s}1") * complex(c.strip("()")) / multinomial(p)
+        assert quantic_to_tensor(F)._vector.tobytes() == _keyed_vector(k, n, summed), text
+        for factor in _FACTORS:
+            scaled = {p: complex(factor) * v for p, v in F.terms.items()}
+            assert quantic_to_tensor(scale(F, factor))._vector.tobytes() == _keyed_vector(k, n, scaled)
+    assert scale(Quantic(3, 2, {}), float("inf")).terms == {}

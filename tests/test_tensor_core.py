@@ -857,3 +857,55 @@ def test_the_json_writers_print_edge_values_as_the_per_value_writers_do(k, n, r,
                                         min_size=r, max_size=r)), dtype=np.complex128)
     D = SymmetricDecomposition(k, n, block[:, 0], block[:, 1:], "C")
     assert _dumps(decomposition_to_json_obj(D)) == _dumps(_per_value_decomposition_json(D))
+
+
+def test_shared_tensors_refuse_assignment_and_deletion():
+    from waring.decompose import make_decomposition, reconstruct
+    from waring.quantics import parse_quantic, quantic_to_tensor, render_quantic
+
+    s = symmetrize(DenseTensor([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(AttributeError, match="SymmetricTensor is immutable"):
+        compress(s).order = 5
+    with pytest.raises(AttributeError, match="DenseTensor is immutable"):
+        s.array = np.zeros((2, 2))
+    assert compress(s).order == 2 and compress(s) is compress(s)
+    D = make_decomposition(3, 2, [(1.0, (1.0, 2.0)), (0.5, (1.0, -1.0))])
+    with pytest.raises(AttributeError, match="cannot assign to 'dim'"):
+        reconstruct(D).dim = 9
+    with pytest.raises(AttributeError, match="cannot delete 'dim'"):
+        del reconstruct(D).dim
+    assert reconstruct(D).dim == 2
+    q = parse_quantic("3*x1*x2^2 - x1^3")
+    with pytest.raises(AttributeError, match="SymmetricTensor is immutable"):
+        quantic_to_tensor(q)._vector = np.zeros(4, dtype=np.complex128)
+    with pytest.raises(AttributeError, match="Quantic is immutable"):
+        q._tensor = SymmetricTensor(3, 2, {})
+    assert render_quantic(q) == "3*x1*x2^2 - x1^3"
+
+
+def test_copy_and_pickle_rebuild_immutable_tensors():
+    import copy
+    import pickle
+
+    from waring.quantics import parse_quantic
+
+    dense = symmetrize(DenseTensor([[1.0, 2.0], [3.0, 4.0]]))
+    for x in (dense, compress(dense), parse_quantic("x1^3 - 2*x1*x2^2")):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and repr(y) == repr(x)
+            with pytest.raises(AttributeError, match="immutable"):
+                y.order = 1
+            inner = getattr(y, "_tensor", y)
+            assert not (inner.array if isinstance(inner, DenseTensor) else inner._vector).flags.writeable
+    assert np.array_equal(pickle.loads(pickle.dumps(dense)).array, dense.array)
+    assert pickle.loads(pickle.dumps(compress(dense))).coeffs == compress(dense).coeffs
+
+
+@pytest.mark.parametrize("exponent,message", [([], "at least one entry"), ([-5, 1], "negative entry"),
+                                              ([1, -1, 2], "negative entry")])
+def test_an_order_or_dim_inferred_from_an_invalid_first_exponent_names_that_exponent(exponent, message):
+    for shape in ({}, {"order": 2}, {"dim": 2}, {"order": 2, "dim": 2}):
+        obj = {"format": "sym", **shape, "coeffs": [{"exponent": exponent, "value": [1, 0]},
+                                                    {"exponent": [1, 1], "value": [1, 0]}]}
+        with pytest.raises(ValidationError, match=message):
+            tensor_from_json_obj(obj)
