@@ -27,10 +27,10 @@ _INT64_MAX = 2**63 - 1
 
 def as_exponent(p) -> tuple[int, ...]:
     """Validate and normalize an exponent vector to an int tuple."""
-    exps = tuple(int(e) for e in p)
+    exps = tuple(map(int, p))
     if not exps:
         raise ValidationError("exponent vector must have at least one entry")
-    if any(e < 0 for e in exps):
+    if min(exps) < 0:
         raise ValidationError("exponent vector has a negative entry")
     return exps
 

@@ -19,12 +19,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .combinatorics import _class_sizes, _frozen, enumerate_exponents
-from .errors import DecompositionError, DegeneratePencilError, ValidationError, _check_tol
+from .combinatorics import _SHAPES_CACHED, _class_sizes, _frozen, enumerate_exponents
+from .errors import DecompositionError, DegeneratePencilError, ValidationError, _check_tol, _integer
 from .tensor_core import (
     SymmetricTensor,
     _at_one_scale,
@@ -83,6 +83,7 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
     field_tag None auto-detects: R when every weight and component is real,
     C otherwise; "R" accepts imaginary parts up to 1e-12 of the real parts and zeroes them.
     """
+    order, dim = _integer(order, "order"), _integer(dim, "dim")
     if order < 1:
         raise ValidationError("a decomposition needs order >= 1")
     if dim < 1:
@@ -151,6 +152,7 @@ def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_V
 
 def binary_monomial_tensor(k: int) -> SymmetricTensor:
     """The symmetric tensor of the quantic z1 * z2^(k-1): one class entry 1/k."""
+    k = _integer(k, "order")
     if k < 2:
         raise ValidationError("the monomial construction needs order k >= 2")
     return SymmetricTensor(k, 2, {(1, k - 1): 1.0 / k})
@@ -212,11 +214,13 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     return _sylvester(A, "monomial", p, scale, _over(unit, np.repeat(rho ** np.arange(k + 1), 2)), roots, "C", rho)
 
 
+@lru_cache(maxsize=_SHAPES_CACHED, typed=True)  # typed: an equal float, bool or numpy key is a call of its own
 def decompose_monomial_rank_k(k: int) -> SymmetricDecomposition:
     """Rank-k decomposition of the tensor of z1 * z2^(k-1) over C.
 
     The directions are (1, beta_i), beta_i the roots of t^k - rho^k, rho = min(sqrt(k - 1), 2^(1000/k)); the
     weights come out as beta_i / (k^2 rho^k).  From order 496 verify refuses most; those raise DecompositionError.
+    The immutable records of the 8 latest orders are kept; a refusal is not, and raises on every call.
     """
     return _roots_of_unity_decomposition(binary_monomial_tensor(k))
 
@@ -384,8 +388,7 @@ def make_border_spec(
     for i, j in itertools.combinations(range(len(base)), 2):
         if numerical_rank(np.array([base[i], base[j]])) != 2:
             raise ValidationError(f"base vectors {i} and {j} are linearly dependent")
-    if order is None:
-        order = 3
+    order = 3 if order is None else _integer(order, "order")
     if kind != "rank2_to_k" and order != 3:
         raise ValidationError(f"{kind} is an order-3 family")
     if order < 3:

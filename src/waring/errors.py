@@ -1,4 +1,6 @@
-"""Exception types shared across the package, the one tolerance check, and the one way a message quotes input."""
+"""Exception types shared across the package, the one tolerance and integer checks, and how a message quotes input."""
+
+import operator
 
 
 def _excerpt(text) -> str:
@@ -18,6 +20,14 @@ class ValidationError(ValueError):
 def _check_tol(tol: float) -> None:
     if not tol >= 0:  # NaN fails too
         raise ValidationError("tolerance must be >= 0")
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int, as operator.index gives it, so a numpy integer is stored as an int and a float refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 class SymmetryError(ValidationError):

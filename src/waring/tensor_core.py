@@ -25,7 +25,7 @@ import numpy as np
 from .combinatorics import (
     _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, _head_tail_blocks, as_exponent,
 )
-from .errors import CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt
+from .errors import CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt, _integer
 
 DENSE_ENTRY_CAP = 10_000_000
 _DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
@@ -105,6 +105,7 @@ class SymmetricTensor(_Immutable):
     __slots__ = ("order", "dim", "_vector")
 
     def __init__(self, order: int, dim: int, coeffs):
+        order, dim = _integer(order, "order"), _integer(dim, "dim")
         if order < 1:
             raise ValidationError("a symmetric tensor needs order >= 1")
         if dim < 1:
@@ -249,6 +250,7 @@ def _power_sum(weights: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
 
 def outer_power(v, k: int) -> SymmetricTensor:
     """k-fold symmetric outer power of a vector: coeffs[p] = prod_i v_i^p_i."""
+    k = _integer(k, "order")
     if k < 1:
         raise ValidationError("outer power needs order k >= 1")
     vec = np.array([complex(c) for c in v], dtype=np.complex128)
@@ -396,14 +398,14 @@ def _fields(obj, keys: tuple[str, ...]) -> list:
 
 
 def _read_pair(obj, field: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj)
+    if (  # each component checked in place, with no generator: the readers call this once per number pair
+        not isinstance(obj, (list, tuple)) or len(obj) != 2
+        or not (isinstance(re := obj[0], (int, float)) and isinstance(im := obj[1], (int, float)))
+        or type(re) is bool or type(im) is bool  # a JSON true is no number; bool has no subclass
     ):
         raise ValidationError(f"field '{field}': expected a [re, im] number pair")
     try:
-        value = complex(obj[0], obj[1])
+        value = complex(re, im)
     except OverflowError:  # an integer beyond the float range
         value = complex(math.inf)
     if not cmath.isfinite(value):
@@ -439,7 +441,7 @@ def tensor_from_json_obj(obj):
             if not isinstance(item, dict) or "exponent" not in item or "value" not in item:
                 raise ValidationError("field 'coeffs': each item needs 'exponent' and 'value'")
             exp = item["exponent"]
-            if not isinstance(exp, list) or not all(type(e) is int for e in exp):
+            if not isinstance(exp, list) or not {*map(type, exp)} <= {int}:
                 raise ValidationError("field 'exponent': expected a list of integers")
             p = tuple(exp)  # the constructor validates it
             coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")

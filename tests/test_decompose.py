@@ -150,6 +150,7 @@ def test_reconstruct_then_verify_twice_runs_one_power_sum(monkeypatch):
 ], ids=["pencil C", "pencil R", "monomial"])
 def test_verify_after_a_binary_decomposer_runs_no_second_power_sum(monkeypatch, a, decompose):
     # the decomposer's exit verified the very record it returns, and README's example verifies it again
+    decompose_monomial_rank_k.cache_clear()  # else a kept monomial record runs no power sum at all
     calls = _count_power_sums(monkeypatch)
     d = decompose(a)
     assert verify(d, a).ok and len(calls) == 1
@@ -423,6 +424,72 @@ def test_monomial_directions_are_roots_of_unity():
 def test_monomial_decomposition_verifies_at_high_order(k):
     # unit-circle nodes failed from k = 53 at tol * (1 + ||A||), and would from k = 48 at tol * ||A||
     assert verify(decompose_monomial_rank_k(k), binary_monomial_tensor(k)).ok
+
+
+def _record_bytes(d):
+    return d.order, d.dim, d.field_tag, d.weights.tobytes(), d.vectors.tobytes()
+
+
+def test_a_repeated_monomial_call_returns_the_kept_record():
+    decompose_monomial_rank_k.cache_clear()
+    d = decompose_monomial_rank_k(5)
+    assert decompose_monomial_rank_k(5) is d and reconstruct(decompose_monomial_rank_k(5)) is reconstruct(d)
+    limit_decomposition(make_border_spec("rank2_to_k", order=5))  # the limit reads the kept record
+    assert decompose_monomial_rank_k.cache_info()[:2] == (3, 1)  # hits, misses
+    assert decompose_monomial_rank_k.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("k", [*range(2, 61), 494, 495])
+def test_the_kept_monomial_record_is_the_one_a_fresh_call_builds(k):
+    # order 494's verdict depends on how BLAS splits the solve; within one process both calls see the same split
+    kept, fresh = decompose_monomial_rank_k(k), decompose_monomial_rank_k.__wrapped__(k)
+    assert decompose_monomial_rank_k(k) is kept and _record_bytes(kept) == _record_bytes(fresh)
+    assert reconstruct(kept)._vector.tobytes() == reconstruct(fresh)._vector.tobytes()
+
+
+def test_a_refused_monomial_order_is_not_kept():
+    decompose_monomial_rank_k.cache_clear()
+    for _ in range(2):
+        for k in (496, 700, 1, 0, -3):
+            with pytest.raises((DecompositionError, ValidationError)):
+                decompose_monomial_rank_k(k)
+    assert decompose_monomial_rank_k.cache_info().currsize == 0
+
+
+def test_a_numpy_integer_order_gives_an_int_order_and_a_float_is_refused():
+    decompose_monomial_rank_k.cache_clear()
+    for k in (np.int64(5), 5, np.int32(5)):
+        d = decompose_monomial_rank_k(k)
+        assert type(d.order) is int and type(reconstruct(d).order) is int and verify(d, binary_monomial_tensor(k)).ok
+        assert _record_bytes(d) == _record_bytes(decompose_monomial_rank_k(5))
+    # a kept np.int64(5) record compares equal to 5.0 in an untyped key; the typed key still refuses the float
+    for k in (5.0, np.float64(5.0), "5", None):
+        with pytest.raises(ValidationError, match=r"^order must be an integer, got "):
+            decompose_monomial_rank_k(k)
+        with pytest.raises(ValidationError, match=r"^order must be an integer, got "):
+            binary_monomial_tensor(k)
+
+
+def test_numpy_integer_orders_reach_verify_the_pencil_and_the_border_tables_as_ints():
+    # each died with "'numpy.int64' object has no attribute 'bit_length'" in the class norm
+    A = SymmetricTensor(np.int64(3), np.int64(2), {(3, 0): -1.0, (1, 2): 1.0})
+    d = make_decomposition(np.int64(3), np.int64(2), decompose_sym222_pencil(A, "R").decomposition.terms)
+    assert (type(A.order), type(d.order), type(d.dim)) == (int, int, int) and verify(d, A).ok
+    spec = make_border_spec("rank2_to_k", order=np.int64(5))
+    assert type(spec.order) is int and border_distance_table(spec) == border_distance_table(
+        make_border_spec("rank2_to_k", order=5))
+    assert verify(limit_decomposition(spec), border_sequence(spec, 0.1).a_limit).ok
+
+
+@pytest.mark.parametrize("make", [
+    lambda order: make_decomposition(order, 2, [(1.0, (1.0, 2.0))]),
+    lambda dim: make_decomposition(3, dim, [(1.0, (1.0, 2.0))]),
+    lambda order: make_border_spec("rank2_to_k", order=order),
+], ids=["make_decomposition order", "make_decomposition dim", "make_border_spec order"])
+@pytest.mark.parametrize("bad", [3.0, 5.5, "3", np.float64(3)])
+def test_a_non_integer_order_or_dim_of_a_decomposition_is_a_validation_error(make, bad):
+    with pytest.raises(ValidationError, match=r"^(order|dim) must be an integer, got "):
+        make(bad)
 
 
 def test_the_monomial_method_returns_only_what_verify_accepts():

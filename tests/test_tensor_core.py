@@ -301,6 +301,30 @@ def test_json_errors_name_fields():
         )
 
 
+def test_a_numpy_integer_order_or_dim_is_stored_as_an_int():
+    coeffs = {(3, 0): 1.0, (1, 2): 2.0 - 1j}
+    for order, dim in ((np.int64(3), 2), (3, np.int32(2)), (np.uint8(3), np.int64(2))):
+        s = SymmetricTensor(order, dim, coeffs)
+        assert (type(s.order), type(s.dim)) == (int, int) and repr(s) == "SymmetricTensor(order=3, dim=2, classes=2)"
+        assert frobenius_norm(s) == frobenius_norm(SymmetricTensor(3, 2, coeffs))
+        assert tensor_to_json_obj(s) == tensor_to_json_obj(SymmetricTensor(3, 2, coeffs))
+    o = outer_power([1.0, 2.0], np.int64(3))
+    assert type(o.order) is int and frobenius_norm(o) == frobenius_norm(outer_power([1.0, 2.0], 3))
+
+
+@pytest.mark.parametrize("order, dim, what", [
+    (3.0, 2, "order, got float"), (3, 2.0, "dim, got float"), ("3", 2, "order, got str"),
+    (None, 2, "order, got NoneType"), (np.float64(3), 2, "order, got float64"), (3, 2 + 0j, "dim, got complex"),
+])
+def test_a_non_integer_order_or_dim_is_a_validation_error(order, dim, what):
+    name, got = what.split(", ")
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, {got}$"):
+        SymmetricTensor(order, dim, {})
+    if name == "order":
+        with pytest.raises(ValidationError, match=rf"^order must be an integer, {got}$"):
+            outer_power([1.0, 2.0], order)
+
+
 def test_json_rejects_booleans_as_integers():
     with pytest.raises(ValidationError, match="'order'"):
         tensor_from_json_obj({"format": "sym", "order": True, "dim": 1, "coeffs": []})
@@ -328,6 +352,54 @@ def test_json_rejects_non_finite_pairs():
             tensor_from_json_obj({"format": "dense", "order": 1, "dim": 1, "entries": [bad]})
         with pytest.raises(ValidationError, match="value"):
             tensor_from_json_obj({"format": "sym", "coeffs": [{"exponent": [1], "value": bad}]})
+
+
+def _reference_pair_verdict(obj, field):
+    """The error a [re, im] pair earns, by the component check written as a generator: the texts the reader pins."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj):
+        return ValidationError, f"field '{field}': expected a [re, im] number pair"
+    try:
+        value = complex(obj[0], obj[1])
+    except OverflowError:
+        value = complex(math.inf)
+    return (ValidationError, f"field '{field}': expected finite numbers") if not cmath.isfinite(value) else value
+
+
+class _Count(int):  # an int subclass, which the reader takes as a number
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+_PAIRS = [
+    [True, 0], [0, False], ["1", 0], [None, 0], [[1], 0], [1.5, "x"], [1], [1, 2, 3], [], {}, {"re": 1, "im": 0},
+    "1", 1.5, None, (1.5, -2.0), (True, 0), [_Count(3), 0], [0.5, _Count(-2)], [np.float64(0.25), 1], [np.int64(1), 0],
+    [10**400, 0], [0, -(10**400)], [math.inf, 0], [0, -math.inf], [math.nan, 1], [0.5, -2], [3, 4],
+]
+
+
+@pytest.mark.parametrize("pair", _PAIRS, ids=lambda pair: repr(pair)[:24])
+def test_the_pair_reader_gives_the_generator_checks_verdicts_and_texts(pair):
+    from waring.decompose import decomposition_from_json_obj
+
+    readers = {
+        "value": lambda: tensor_from_json_obj(
+            {"format": "sym", "order": 1, "dim": 1, "coeffs": [{"exponent": [1], "value": pair}]}).coeffs[(1,)],
+        "entries": lambda: complex(tensor_from_json_obj(
+            {"format": "dense", "order": 1, "dim": 1, "entries": [pair]}).array[0]),
+        "weight": lambda: decomposition_from_json_obj(
+            {"order": 1, "dim": 1, "field": "C", "terms": [{"weight": pair, "vector": [[1, 0]]}]}).weights[0],
+        "vector": lambda: decomposition_from_json_obj(  # a 1-vector leads with 1, its scale moved into the weight
+            {"order": 1, "dim": 1, "field": "C", "terms": [{"weight": [1, 0], "vector": [pair]}]}).weights[0],
+    }
+    for field, read in readers.items():
+        want = _reference_pair_verdict(pair, field)
+        if isinstance(want, complex):
+            assert read() == want
+        else:
+            with pytest.raises(ValidationError) as caught:
+                read()
+            assert (type(caught.value), str(caught.value)) == want
 
 
 def test_fixture_files_parse():
