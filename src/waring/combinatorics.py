@@ -15,19 +15,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArithmeticOverflowError, CapacityError, ValidationError
+from .errors import ArithmeticOverflowError, CapacityError, ValidationError, _integer
 
 _INT64_MAX = 2**63 - 1
 
 
 def as_exponent(p) -> tuple[int, ...]:
-    """Validate and normalize an exponent vector to an int tuple."""
-    exps = tuple(map(int, p))
+    """Validate and normalize an exponent vector to an int tuple, each entry by operator.index (a bool reads 0 or 1)."""
+    try:
+        exps = tuple(map(operator.index, p))
+    except TypeError:
+        raise ValidationError("exponent vector entries must be integers") from None
     if not exps:
         raise ValidationError("exponent vector must have at least one entry")
     if min(exps) < 0:
@@ -42,10 +46,7 @@ def degree(p) -> int:
 
 def sym_dimension(k: int, n: int) -> int:
     """Dimension C(n+k-1, k) of the space of order-k symmetric tensors over C^n."""
-    if k < 0:
-        raise ValidationError("order k must be >= 0")
-    if n < 1:
-        raise ValidationError("dimension n must be >= 1")
+    k, n = _integer(k, "order", 0), _integer(n, "dim", 1)
     # C(n+k-1, s) is at least n+k-1 once s >= 1 and at least C(68, 34) > 2**63 once s >= 34, so
     # neither case computes a binomial that may have millions of digits
     s = min(k, n - 1)
@@ -95,7 +96,7 @@ def enumerate_exponents(k: int, n: int) -> list[tuple[int, ...]]:
     Graded-lex on a fixed degree reduces to descending lexicographic order,
     so (2,0) precedes (1,1) precedes (0,2).
     """
-    return [tuple(p) for p in _class_columns(k, n).T.tolist()]
+    return [tuple(p) for p in _class_columns(_integer(k, "order", 0), _integer(n, "dim", 1)).T.tolist()]
 
 
 def index_to_exponent(indices, n: int) -> tuple[int, ...]:
@@ -103,12 +104,10 @@ def index_to_exponent(indices, n: int) -> tuple[int, ...]:
 
     Invariant under permutations of the tuple.
     """
-    if n < 1:
-        raise ValidationError("dimension n must be >= 1")
+    n = _integer(n, "dim", 1)
     counts = [0] * n
     for idx in indices:
-        i = int(idx)
-        if not 1 <= i <= n:
+        if (i := _integer(idx, "index", 1)) > n:
             raise ValidationError(f"index {i} outside 1..{n}")
         counts[i - 1] += 1
     return tuple(counts)

@@ -83,11 +83,7 @@ def make_decomposition(order: int, dim: int, terms, field_tag: str | None = None
     field_tag None auto-detects: R when every weight and component is real,
     C otherwise; "R" accepts imaginary parts up to 1e-12 of the real parts and zeroes them.
     """
-    order, dim = _integer(order, "order"), _integer(dim, "dim")
-    if order < 1:
-        raise ValidationError("a decomposition needs order >= 1")
-    if dim < 1:
-        raise ValidationError("a decomposition needs dimension >= 1")
+    order, dim = _integer(order, "order", 1), _integer(dim, "dim", 1)
     rows = [(w, *v) for w, v in terms]
     if bad := [tuple(map(complex, row[1:])) for row in rows if len(row) != dim + 1]:
         raise ValidationError(f"vector {bad[0]} has {len(bad[0])} components, expected {dim}")
@@ -152,9 +148,7 @@ def verify(D: SymmetricDecomposition, A: SymmetricTensor, tol: float = DEFAULT_V
 
 def binary_monomial_tensor(k: int) -> SymmetricTensor:
     """The symmetric tensor of the quantic z1 * z2^(k-1): one class entry 1/k."""
-    k = _integer(k, "order")
-    if k < 2:
-        raise ValidationError("the monomial construction needs order k >= 2")
+    k = _integer(k, "order", 2)
     return SymmetricTensor(k, 2, {(1, k - 1): 1.0 / k})
 
 
@@ -388,14 +382,12 @@ def make_border_spec(
     for i, j in itertools.combinations(range(len(base)), 2):
         if numerical_rank(np.array([base[i], base[j]])) != 2:
             raise ValidationError(f"base vectors {i} and {j} are linearly dependent")
-    order = 3 if order is None else _integer(order, "order")
+    order = 3 if order is None else _integer(order, "order", 3)
     if kind != "rank2_to_k" and order != 3:
         raise ValidationError(f"{kind} is an order-3 family")
-    if order < 3:
-        raise ValidationError("border sequences need order >= 3")
     eps = DEFAULT_EPSILONS if epsilons is None else tuple(float(e) for e in epsilons)
-    if not all(e > 0 for e in eps):  # NaN fails too
-        raise ValidationError("epsilon schedule must be positive")
+    if not all(0 < e < math.inf for e in eps):  # NaN fails too
+        raise ValidationError("epsilon schedule must be positive and finite")
     return BorderSequenceSpec(kind, base, order, eps)
 
 
@@ -425,8 +417,8 @@ def border_sequence(spec: BorderSequenceSpec, epsilon: float) -> BorderStep:
     the schedule that makes the approach linear, written as the two terms
     eta^2 (x + y/eta)^x3 + eta^2 (x - y/eta)^x3.
     """
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive; the witness is undefined at the limit")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite; the witness is undefined at the limit")
     k, (u, v) = spec.order, _tangent_pairs(spec)
     if spec.kind == "rank2_to_3":  # its two pairs are both (y, x), so the rows are x + y/eta and x - y/eta
         eta = math.sqrt(epsilon)

@@ -22,12 +22,14 @@ def _check_tol(tol: float) -> None:
         raise ValidationError("tolerance must be >= 0")
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int, as operator.index gives it, so a numpy integer is stored as an int and a float refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {type(value).__name__}") from None
+def _integer(value, what: str, low: int) -> int:
+    """The one check of a caller's integer: operator.index(value), so a numpy integer is an int, and at least low."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):  # a bool is no count, order or seed
+        raise ValidationError(f"{what} must be an integer, got {type(value).__name__}")
+    value = operator.index(value)
+    if value < low:
+        raise ValidationError(f"{what} must be an integer >= {low}")
+    return value
 
 
 class SymmetryError(ValidationError):

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .decompose import _catalecticant_kernel, _pencil_rule, _require_sym222, _scaled_entries
-from .errors import ValidationError, WorkerError
+from .errors import ValidationError, WorkerError, _integer
 from .tensor_core import DenseTensor, SymmetricTensor
 
 CHUNK = 1 << 14
@@ -100,24 +100,26 @@ def _gaussians(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _check_stream(case: str, seed: int, end: int) -> None:
+def _check_stream(case: str, seed: int, end: int) -> int:
+    """seed as an int, once case names a stream, the seed lies below 2**128 and trial end - 1 below the wrap."""
     if case not in UNIFORMS_PER_TRIAL:
         raise ValidationError(f"case must be one of {sorted(UNIFORMS_PER_TRIAL)}")
-    if type(seed) is not int or not 0 <= seed < _MAX_SEED:
+    if (seed := _integer(seed, "seed", 0)) >= _MAX_SEED:
         raise ValidationError("seed must be an integer in [0, 2**128)")
     m = UNIFORMS_PER_TRIAL[case]
     if end * m // 4 > 2**256:
         raise ValidationError(f"trial index must be below 2**{256 - m // 8} for {case}, where the Philox counter wraps")
+    return seed
 
 
-def _stream(case: str, seed: int, lo: int, hi: int):
-    """Normals of trials [lo, hi), one row per trial, CHUNK rows at a time.
+def _stream(case: str, seed: int, lo: int, hi: int | None = None):
+    """Normals of trials [lo, hi), trial lo alone by default, one row per trial, CHUNK rows at a time.
 
     Not a generator function, so the arguments are checked at the call.
     """
-    if type(lo) is not int or lo < 0:
-        raise ValidationError("trial index must be an integer >= 0")
-    _check_stream(case, seed, hi)
+    lo = _integer(lo, "trial index", 0)
+    hi = lo + 1 if hi is None else hi
+    seed = _check_stream(case, seed, hi)
     m = UNIFORMS_PER_TRIAL[case]
     bg = Philox(key=seed)
     # advance counts counter ticks of four 64-bit words; lo*m is a multiple of 4
@@ -128,13 +130,13 @@ def _stream(case: str, seed: int, lo: int, hi: int):
 
 def sample_sym222(seed: int, index: int) -> SymmetricTensor:
     """Trial `index` of the sym222 stream: one normal per exponent class."""
-    z = next(_stream("sym222", seed, index, index + 1))[0]
+    z = next(_stream("sym222", seed, index))[0]
     return SymmetricTensor._of(3, 2, z.astype(np.complex128))
 
 
 def sample_asym222(seed: int, index: int) -> DenseTensor:
     """Trial `index` of the asym222 stream: eight normals in row-major order."""
-    z = next(_stream("asym222", seed, index, index + 1))[0]
+    z = next(_stream("asym222", seed, index))[0]
     return DenseTensor(z.reshape(2, 2, 2))
 
 
@@ -215,11 +217,8 @@ def typical_rank_experiment(case: str, samples: int, seed: int, workers: int = 1
     of the counter-based stream, so any worker count yields identical counts
     for a given (case, samples, seed).
     """
-    if type(samples) is not int or samples < 1:
-        raise ValidationError("samples must be an integer >= 1")
-    if type(workers) is not int or workers < 1:
-        raise ValidationError("workers must be an integer >= 1")
-    _check_stream(case, seed, samples)
+    samples, workers = _integer(samples, "samples", 1), _integer(workers, "workers", 1)
+    seed = _check_stream(case, seed, samples)
     blocks = max(1, min(workers, _usable_cpus(), samples // MIN_WORKER_TRIALS))
     bounds = [samples * i // blocks for i in range(blocks + 1)]
     spans = list(zip(bounds, bounds[1:]))

@@ -12,14 +12,16 @@ The bilinear form over C induces no norm, so none is provided.
 from __future__ import annotations
 
 import cmath
+import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_count, _class_id, _class_keys, _class_size, _class_sizes
-from .errors import ArithmeticOverflowError, ValidationError, _excerpt
-from .tensor_core import SymmetricTensor, _frozen_finite, _Immutable, _pow2_exponent, _power_sum, outer_power
+from .combinatorics import _class_count, _class_id, _class_keys, _class_size, _class_sizes, _exponents
+from .errors import ArithmeticOverflowError, ValidationError, _excerpt, _integer
+from .tensor_core import SymmetricTensor, _frozen_finite, _Immutable, _power_sum, outer_power
 
 
 class Quantic(_Immutable):
@@ -31,11 +33,7 @@ class Quantic(_Immutable):
     __slots__ = ("_tensor",)
 
     def __init__(self, degree: int, nvars: int, terms):
-        if degree < 1:
-            raise ValidationError("a quantic needs degree >= 1")
-        if nvars < 1:
-            raise ValidationError("a quantic needs at least one variable")
-        self._fill(_tensor=SymmetricTensor(degree, nvars, terms))
+        self._fill(_tensor=SymmetricTensor(_integer(degree, "degree", 1), _integer(nvars, "nvars", 1), terms))
 
     @classmethod
     def _of(cls, tensor: SymmetricTensor) -> Quantic:
@@ -74,54 +72,57 @@ def quantic_to_tensor(F: Quantic) -> SymmetricTensor:
     return F._tensor
 
 
-def _multinomial_sum(sizes: np.ndarray, a: np.ndarray, b: np.ndarray, what: str, shift: int = 0) -> complex:
-    """2^shift sum_p sizes_p a_p b_p, taken as (sizes a) @ b; where that is not finite, again term by term: each
-    factor of a nonzero term divided by the 2^e of its own largest |re| or |im|, the term shifted by its summed e
-    less the largest such sum E, and the total scaled back by 2^(E + shift).  It raises where the value passes the
-    float range, and where a term shifted below tiny, each losing less than tiny, leaves a total below
-    terms * tiny * 2^53 or the value lands below tiny: an underflow never reads as 0."""
+def _multinomial_sum(sizes: np.ndarray, a: np.ndarray, b: np.ndarray, what: str, shift=0) -> complex:
+    """sum_p sizes_p a_p b_p 2^shift_p, shift one int or one per term: the plain (sizes a) @ b times 2^shift where it is
+    finite and at least terms * tiny * 2^53, so no product lost below tiny matters; else term by term, each factor of a
+    nonzero term over the 2^e of its largest |re| or |im|, the term shifted by its summed e and shift less the largest
+    such sum E, the total times 2^E.  It raises where the value passes the float range, where the scaled value is
+    below tiny though the total is not 0, and where terms shifted below tiny leave a total below terms * tiny * 2^53:
+    no underflow reads 0."""
+    tiny = sys.float_info.min
     with np.errstate(over="ignore", invalid="ignore"):
-        value = sizes * a @ b
-        if not cmath.isfinite(value):
+        total, lost = (sizes * a @ b if isinstance(shift, int) else np.nan), False
+        if not abs(total) >= len(a) * tiny * 2.0**53:  # NaN and inf too: summed term by term
             live = (a != 0) & (b != 0)
-            terms, exps, top = np.ones(np.count_nonzero(live), dtype=np.complex128), 0, 0
+            terms, exps = np.ones(np.count_nonzero(live), dtype=np.complex128), np.broadcast_to(shift, len(a))[live]
             for x in (sizes[live], a[live], b[live]):
                 x = x.astype(np.complex128).view(float)
                 e = np.repeat(np.frexp(abs(x).reshape(-1, 2).max(axis=1))[1], 2)
                 terms, exps = terms * np.ldexp(x, -e).view(complex), exps + e[::2]
-            if len(terms):
-                top = exps.max()
-                terms = np.ldexp(terms.view(float), np.repeat(exps - top, 2)).view(complex)
-            tiny, total, shift = np.finfo(float).tiny, terms.sum(), shift + top
-            value = complex(np.ldexp(total.real, shift), np.ldexp(total.imag, shift))
+            shift = int(exps.max()) if len(exps) else 0
+            terms = np.ldexp(terms.view(float), np.repeat(exps - shift, 2)).view(complex)
+            total = terms.sum()
             lost = (abs(terms) < tiny).any() and abs(total) < len(terms) * tiny * 2.0**53
-            if cmath.isfinite(value) and (lost or (total != 0 and abs(value) < tiny)):
-                raise ArithmeticOverflowError(f"{what} needs terms below the float range")
-        else:
-            value = complex(np.ldexp(value.real, shift), np.ldexp(value.imag, shift))
+        value = complex(np.ldexp(total.real, shift), np.ldexp(total.imag, shift)) if shift else complex(total)
     if not cmath.isfinite(value):
         raise ArithmeticOverflowError(f"{what} overflows the float range")
+    if lost or total != 0 and max(abs(value.real), abs(value.imag)) < tiny:
+        raise ArithmeticOverflowError(f"{what} needs terms below the float range")
     return value
 
 
 def evaluate(F: Quantic, x) -> complex:
-    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p; where a monomial x^p passes the
-    float range it is taken as 2^(ek) F(x / 2^e), e the _pow2_exponent of the largest |re| or |im| of x, whose
-    factors have modulus below 3, so a nonzero monomial below tiny * 3^k there lost bits to underflow and raises."""
+    """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p.  Decided from the exponents e_i,
+    2^e_i <= the largest |re| or |im| of coordinate i, before the kernel runs: the point as it is where every product
+    of k coordinates is normal, 53 bits clear of the subnormals; else coordinate i over 2^e_i, each class's term then
+    shifted back by sum p_i e_i.  Exact there, so no power is lost below the float range; it raises where the value or
+    a power of the divided coordinates leaves the float range."""
     point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
     k, n, vec = F.degree, F.nvars, F._tensor._vector
-    nz, one, e = vec.nonzero()[0], np.ones(1, dtype=np.complex128), 0
+    nz, sizes, shift = vec.nonzero()[0], _class_sizes(k, n), 0
+    mags = [max(abs(c.real), abs(c.imag)) for c in point.tolist()]  # 2^e_i <= mags_i < 2^(e_i + 1); e_i = -1 at a zero
+    lo, hi = math.frexp(min(filter(None, mags), default=0.0))[1] - 1, math.frexp(max(mags))[1] - 1
+    if k * min(lo, 0) < -969 or k * max(hi + 1.5, 0) > 1023:  # k-fold product moduli: [2^(k lo), 2^(k (hi + 1.5)))
+        e = np.frexp(mags)[1] - 1
+        point = np.ldexp(point.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
+        shift = e @ _exponents(k, n, nz)
     with np.errstate(over="ignore", invalid="ignore"):
-        monomials = _power_sum(one, point[None, :], k)[nz]
-        if not np.isfinite(monomials).all():
-            e = _pow2_exponent(point)
-            monomials = _power_sum(one, point[None, :] / 2.0**e, k)[nz]
-            nonzero = _power_sum(one, (point != 0).astype(np.complex128)[None, :], k)[nz] != 0
-            if (nonzero & (abs(monomials) < np.finfo(float).tiny * np.float64(3.0) ** k)).any():
-                raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
-    return _multinomial_sum(_class_sizes(k, n)[nz], vec[nz], monomials, "the value at this point", e * k)
+        monomials = _power_sum(np.ones(1, dtype=np.complex128), point[None, :], k)[nz]
+    if not np.isfinite(monomials).all():
+        raise ArithmeticOverflowError("the value at this point needs powers outside the float range")
+    return _multinomial_sum(sizes[nz], vec[nz], monomials, "the value at this point", shift)
 
 
 def apolar_form(F: Quantic, G: Quantic) -> complex:
@@ -261,7 +262,7 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
             raise ValidationError(f"term '{_excerpt(chunk)}' has no variables; constants are not homogeneous")
         parsed.append((coeff, exponents))
     max_var = max(max(exps) for _, exps in parsed)
-    n = nvars if nvars is not None else max_var
+    n = max_var if nvars is None else _integer(nvars, "nvars", 1)
     if n < max_var:
         raise ValidationError(f"variable x{max_var} exceeds the requested {n} variables")
     degrees = {sum(exps.values()) for _, exps in parsed}

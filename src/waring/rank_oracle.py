@@ -16,22 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import sym_dimension
-from .errors import NotApplicableError, UnsupportedOrderError, ValidationError
+from .errors import NotApplicableError, UnsupportedOrderError, _integer
 
 EXCEPTIONAL_PAIRS = frozenset({(3, 5), (4, 3), (4, 4), (4, 5)})
 
 
-def _validate_pair(k: int, n: int) -> None:
+def _validate_pair(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as ints; an order of 1 or 2 is one the formulas do not cover, not a bad integer."""
+    k = _integer(k, "order", 1)
     if k <= 2:
         raise UnsupportedOrderError(f"generic-rank formulas need order k >= 3, got k = {k}")
-    if n < 2:
-        raise ValidationError(f"generic-rank formulas need dimension n >= 2, got n = {n}")
+    return k, _integer(n, "dim", 2)
 
 
 def is_exceptional(k: int, n: int) -> bool:
     """True on the four pairs where the generic rank exceeds the naive count."""
-    _validate_pair(k, n)
-    return (k, n) in EXCEPTIONAL_PAIRS
+    return _validate_pair(k, n) in EXCEPTIONAL_PAIRS
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class RankReport:
 
 def rank_report(k: int, n: int) -> RankReport:
     """Every closed form, each stated once; finiteness is None on the exceptional pairs."""
-    exceptional = is_exceptional(k, n)
+    k, n = _validate_pair(k, n)
+    exceptional = (k, n) in EXCEPTIONAL_PAIRS
     size, upper = sym_dimension(k, n), sym_dimension(k - 1, n)
     lower = -(-size // n)
     rank = lower + exceptional
@@ -87,9 +88,7 @@ def finitely_many_generic_decompositions(k: int, n: int) -> bool:
 
 def max_symmetric_rank_binary(k: int) -> int:
     """Maximal symmetric rank over C^2 at order k: exactly k."""
-    if k < 1:
-        raise ValidationError("order k must be >= 1")
-    return k
+    return _integer(k, "order", 1)
 
 
 def _grid_table(cell, k_range, n_range) -> tuple[list[list[int]], list[list[bool]]]:

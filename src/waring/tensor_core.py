@@ -25,7 +25,9 @@ import numpy as np
 from .combinatorics import (
     _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, _head_tail_blocks, as_exponent,
 )
-from .errors import CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt, _integer
+from .errors import (
+    ArithmeticOverflowError, CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt, _integer,
+)
 
 DENSE_ENTRY_CAP = 10_000_000
 _DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
@@ -105,11 +107,7 @@ class SymmetricTensor(_Immutable):
     __slots__ = ("order", "dim", "_vector")
 
     def __init__(self, order: int, dim: int, coeffs):
-        order, dim = _integer(order, "order"), _integer(dim, "dim")
-        if order < 1:
-            raise ValidationError("a symmetric tensor needs order >= 1")
-        if dim < 1:
-            raise ValidationError("a symmetric tensor needs dimension >= 1")
+        order, dim = _integer(order, "order", 1), _integer(dim, "dim", 1)
         vec = np.zeros(_class_count(order, dim), dtype=np.complex128)
         for p, v in dict(coeffs).items():
             key = as_exponent(p)
@@ -220,6 +218,7 @@ def _check_dense_order(order: int) -> None:
 
 def decompress(S: SymmetricTensor, max_entries: int = DENSE_ENTRY_CAP) -> DenseTensor:
     """Materialize the full n^k dense array of a compressed symmetric tensor."""
+    max_entries = _integer(max_entries, "max_entries", 1)
     _check_dense_order(S.order)
     total = S.dim**S.order
     if total > max_entries:
@@ -250,15 +249,21 @@ def _power_sum(weights: np.ndarray, vectors: np.ndarray, k: int) -> np.ndarray:
 
 def outer_power(v, k: int) -> SymmetricTensor:
     """k-fold symmetric outer power of a vector: coeffs[p] = prod_i v_i^p_i."""
-    k = _integer(k, "order")
-    if k < 1:
-        raise ValidationError("outer power needs order k >= 1")
+    k = _integer(k, "order", 1)
     vec = np.array([complex(c) for c in v], dtype=np.complex128)
     if len(vec) < 1:
         raise ValidationError("outer power needs a nonempty vector")
     return SymmetricTensor._of(k, len(vec), _power_sum(np.ones(1, dtype=np.complex128), vec[None, :], k))
 
 
+def _dense_result(arr: np.ndarray, what: str):
+    """arr, products of finite factors, as a DenseTensor or a scalar, if no entry overflowed to inf or nan."""
+    if not np.isfinite(arr).all():
+        raise ArithmeticOverflowError(f"{what} overflows the float range")
+    return complex(arr) if arr.ndim == 0 else DenseTensor(arr)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing product reads inf or nan, refused by _dense_result
 def contract_mode1(A: DenseTensor, B: DenseTensor):
     """Contract the first modes: c[i2.., j2..] = sum_a a[a, i2..] b[a, j2..].
 
@@ -266,17 +271,15 @@ def contract_mode1(A: DenseTensor, B: DenseTensor):
     """
     if A.dim != B.dim:
         raise ValidationError(f"first-mode dimensions differ: {A.dim} vs {B.dim}")
-    out = np.tensordot(A.array, B.array, axes=([0], [0]))
-    if out.ndim == 0:
-        return complex(out)
-    return DenseTensor(out)
+    return _dense_result(np.tensordot(A.array, B.array, axes=([0], [0])), "the contraction")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as contract_mode1
 def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
     """Apply one matrix per mode: a'[p..] = sum L1[p,i] L2[q,j] ... a[ij..].
 
-    Every map must have column count equal to the tensor dimension and all
-    maps must share one row count, since the result stays cubical.
+    Every map must be a finite matrix with column count equal to the tensor
+    dimension, and all maps must share one row count, since the result stays cubical.
     """
     mats = [np.asarray(M, dtype=np.complex128) for M in maps]
     if len(mats) != A.order:
@@ -284,6 +287,8 @@ def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
     for mode, M in enumerate(mats):
         if M.ndim != 2:
             raise ValidationError(f"map for mode {mode} is not a matrix")
+        if not np.isfinite(M).all():
+            raise ValidationError(f"map for mode {mode} must be finite")
         if M.shape[1] != A.dim:
             raise ValidationError(
                 f"map for mode {mode} has {M.shape[1]} columns, expected {A.dim}"
@@ -294,7 +299,7 @@ def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
     arr = A.array
     for mode, M in enumerate(mats):
         arr = np.moveaxis(np.tensordot(M, arr, axes=([1], [mode])), 0, mode)
-    return DenseTensor(arr)
+    return _dense_result(arr, "the transform")
 
 
 def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -344,3 +344,11 @@ def test_head_tail_factor_ids_equal_the_two_dimensional_nonzero_construction(k, 
     factors, reference = _head_tail_blocks(k, n)[0], _nonzero_factor_ids(k, n)
     assert (factors.shape, factors.dtype) == (reference.shape, reference.dtype)
     assert factors.tobytes() == reference.tobytes()
+
+
+def test_a_multinomial_past_the_signed_64_bit_range_is_a_typed_error():
+    size = math.factorial(60) // math.factorial(20) ** 3  # 5.8e26 > 2^63 - 1
+    with pytest.raises(ArithmeticOverflowError) as info:
+        multinomial((20, 20, 20))
+    assert str(info.value) == f"multinomial((20, 20, 20)) = {size} exceeds the signed 64-bit range"
+    assert multinomial((20, 20)) == math.comb(40, 20)

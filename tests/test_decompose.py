@@ -1202,3 +1202,17 @@ def test_the_array_pencil_keeps_the_nodes_of_the_python_scaling():
             assert (abs((got.weights - want.weights).imag) <= 32 * ulp).all()
             compared += 1
     assert compared >= 600
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_a_non_finite_or_non_positive_epsilon_is_refused_before_any_term(bad):
+    # an infinite epsilon was accepted, and border_distance_table then warned and raised on its terms
+    with pytest.raises(ValidationError, match="^epsilon schedule must be positive and finite$"):
+        make_border_spec("rank2_to_k", epsilons=[bad, 1.0])
+    with pytest.raises(ValidationError, match="^epsilon must be positive and finite; the witness is undefined"):
+        border_sequence(make_border_spec("rank2_to_k"), bad)
+
+
+def test_base_vectors_of_two_lengths_are_refused():
+    with pytest.raises(ValidationError, match="^base vectors must share one dimension$"):
+        make_border_spec("rank2_to_3", base_vectors=[(1.0, 0.0), (0.0, 1.0, 0.0)])

@@ -423,3 +423,18 @@ def test_classify_asym222_on_a_huge_diagonal_tensor():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert classify_asym222(DenseTensor(diag)) == "rank_2"
+
+
+def test_an_exception_in_the_callers_block_is_re_raised_as_it_is(monkeypatch):
+    boom = KeyError("the caller's block")
+
+    def block(case, seed, lo, hi):
+        if lo == 0:
+            raise boom
+        return np.zeros(3, dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    with pytest.raises(KeyError) as info:
+        typical_rank_experiment("sym222", 2 * MIN_WORKER_TRIALS, 1, workers=2)
+    assert info.value is boom

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,25 +351,15 @@ def test_evaluate_overflows_only_where_the_value_does():
     assert evaluate(parse_quantic("x1^2*x2"), [1e200, 1e-100]) == pytest.approx(1e300)
     with pytest.raises(ArithmeticOverflowError, match="float range"):
         evaluate(parse_quantic("x1^2", nvars=2), [1e160, 0])
-    assert evaluate(parse_quantic("x1^3"), [5e-324]) == 0
+    # (5e-324)^3 = 2^-3222 lies below the float range, where reading 0 would hide the underflow
+    with pytest.raises(ArithmeticOverflowError, match="below the float range"):
+        evaluate(parse_quantic("x1^3"), [5e-324])
 
 
 def test_evaluate_keeps_a_small_coordinate_next_to_a_large_one():
-    # nothing overflows, so nothing is scaled: 1e-200 / 2^664 would flush to 0
+    # each coordinate is divided by its own power of two: over the power of two of 1e200, 1e-200 would flush to 0
     assert evaluate(parse_quantic("x1*x2"), [1e200, 1e-200]) == pytest.approx(1.0)
     assert evaluate(parse_quantic("x1*x2"), [1e160, 1e-160]) == pytest.approx(1.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("form, point", [("x1^2*x2", [1e200, 1e-200]), ("x1^2*x2^3", [1e200, 1e-60])])
-def test_evaluate_raises_where_scaling_would_underflow(form, point):
-    # the head x1 times the tail x1*x2 is 1e200 with nothing past the float range; in x1^2*x2^3 the head x1^2
-    # overflows, and over 2^e the cube of the small coordinate falls below the normal range, where a silent 0
-    # would be wrong: the value is 1e220
-    if form == "x1^2*x2":
-        assert evaluate(parse_quantic(form), point) == pytest.approx(1e200)
-        return
-    with pytest.raises(ArithmeticOverflowError, match="float range"):
-        evaluate(parse_quantic(form), point)
 
 
 def test_evaluating_wide_quadratics_keeps_no_exponent_table():
@@ -409,6 +400,14 @@ def test_a_term_that_a_larger_operand_entry_would_push_below_the_float_range_sti
     with pytest.raises(ArithmeticOverflowError, match="below the float range"):
         apolar_form(G, Quantic(3, 2, {(2, 1): 1e10, (1, 2): -1e10, (3, 0): 1e-300}))
 
+
+
+def test_a_subnormal_component_beside_a_normal_one_is_returned():
+    # the imaginary parts 1e-315 and 7e-311 are subnormal, but each value is a normal float as a whole
+    got = apolar_form(Quantic(1, 1, {(1,): 1e-150}), Quantic(1, 1, {(1,): 1e-150 + 1e-165j}))
+    assert got.real == pytest.approx(1e-300, rel=1e-15) and got.imag == pytest.approx(1e-315, rel=1e-7)
+    got = evaluate(parse_quantic("x1^7"), [1e-43 + 1e-53j])
+    assert got.real == pytest.approx(1e-301, rel=1e-15) and got.imag == pytest.approx(7e-311, rel=1e-7)
 
 def test_repr_counts_classes_without_unranking(monkeypatch):
     import waring.combinatorics
@@ -480,3 +479,75 @@ def test_parse_and_scale_write_the_class_vector_of_the_keyed_constructor():
             scaled = {p: complex(factor) * v for p, v in F.terms.items()}
             assert quantic_to_tensor(scale(F, factor))._vector.tobytes() == _keyed_vector(k, n, scaled)
     assert scale(Quantic(3, 2, {}), float("inf")).terms == {}
+
+
+def test_an_empty_linear_form_is_refused():
+    with pytest.raises(ValidationError, match="^a linear form needs at least one coefficient$"):
+        LinearForm(())
+
+
+@pytest.mark.parametrize("form, nvars, point, value", [
+    ("1e300*x2^2", 2, (1, 1e-200), 1e-100),  # x2^2 underflows: it read 0
+    ("x1^2*x2^2", None, (1e-170, 1e150), 1e-40),  # x1^2 underflows: it read 0
+    ("x1^2*x2^2", None, (1e-160, 1e150), 1e-20),  # x1^2 is subnormal: it read 9.999888671826829e-21
+    ("1e-20*x1^2 + x2^2", None, (1e160, 1e-100), 1e300),  # x1^2 overflows and x2^2 over 2^531 underflows: it raised
+    ("1e300*x2^2", 2, (0, 1e-200), 1e-100),  # a zero coordinate does not hide the small one
+    ("x1^2*x2", None, (1e200, 1e-200), 1e200),
+    ("x1^2*x2^3", None, (1e200, 1e-60), 1e220),  # x1^2 overflows; over 2^664 1e-60 cubed underflows: it raised
+])
+def test_evaluate_returns_a_representable_value_whose_powers_leave_the_float_range(form, nvars, point, value):
+    got = evaluate(parse_quantic(form, nvars), point)
+    assert got.imag == 0 and abs(got.real - value) <= 2 * math.ulp(value)
+
+
+def _exact_value(terms: dict, point) -> tuple[Fraction, Fraction, Fraction]:
+    """The real and imaginary parts of sum_p multinomial(p) a_p x^p, and a bound on the summed term magnitudes."""
+    re = im = magnitude = Fraction(0)
+    for p, a in terms.items():
+        size, ar, ai = multinomial(p), Fraction(a.real), Fraction(a.imag)
+        tr, ti, tm = ar * size, ai * size, (abs(ar) + abs(ai)) * size
+        for x, e in zip(point, p):
+            xr, xi = Fraction(x.real), Fraction(x.imag)
+            for _ in range(e):
+                tr, ti = tr * xr - ti * xi, tr * xi + ti * xr
+            tm *= (abs(xr) + abs(xi)) ** e
+        re, im, magnitude = re + tr, im + ti, magnitude + tm
+    return re, im, magnitude
+
+
+def test_evaluate_matches_an_exact_sum_on_wide_spread_points():
+    # coordinates spread over 10^-250..10^250, a tenth of them 0, each term's magnitude put at 10^t, t in -400..400,
+    # by its coefficient: a value in the float range comes back to within the rounding of the summed magnitudes, and
+    # one outside raises
+    rng = np.random.default_rng(2024)
+    eps, big, small = Fraction(2) ** -52, Fraction(2) ** 1024, Fraction(2) ** -1022
+    outcomes = {"value": 0, "overflow": 0, "underflow": 0}
+    for _ in range(600):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        point = [complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-250, 250) * (rng.random() > 0.1)
+                 for _ in range(n)]
+        classes = enumerate_exponents(k, n)
+        terms = {}
+        for c in rng.choice(len(classes), size=min(int(rng.integers(1, 4)), len(classes)), replace=False):
+            p = classes[c]
+            if any(e and not x for e, x in zip(p, point)):  # a term that is 0 at this point
+                continue
+            log_size = rng.uniform(-400, 400) - sum(e * math.log10(abs(x)) for e, x in zip(p, point) if e)
+            if abs(log_size) < 300:
+                terms[p] = complex(*rng.standard_normal(2)) * 10.0**log_size
+        if not terms:
+            continue
+        F = Quantic(k, n, terms)
+        re, im, magnitude = _exact_value(F.terms, point)
+        top = max(abs(re), abs(im))
+        try:
+            got = evaluate(F, point)
+        except ArithmeticOverflowError:
+            assert top >= big / 4 or top < small * 2**53 or magnitude >= big / 4, (F.terms, point)
+            outcomes["overflow" if top >= small else "underflow"] += 1
+            continue
+        assert top < big, (F.terms, point)
+        bound = 8 * (k + 4) * eps * magnitude
+        assert abs(Fraction(got.real) - re) <= bound and abs(Fraction(got.imag) - im) <= bound, (F.terms, point)
+        outcomes["value"] += 1
+    assert min(outcomes.values()) >= 20, outcomes

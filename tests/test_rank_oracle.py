@@ -103,6 +103,8 @@ def test_low_order_unsupported():
         generic_symmetric_rank(2, 3)
     with pytest.raises(UnsupportedOrderError):
         generic_symmetric_rank(1, 3)
+    with pytest.raises(UnsupportedOrderError):  # the order's verdict comes before the dimension's
+        rank_report(2, 1)
 
 
 def test_dimension_one_rejected():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waring.combinatorics import enumerate_exponents, multinomial
-from waring.errors import CapacityError, SymmetryError, ValidationError
+from waring.errors import ArithmeticOverflowError, CapacityError, SymmetryError, ValidationError
 from waring.tensor_core import (
     DEFAULT_SYMMETRY_TOL,
     DenseTensor,
@@ -981,3 +981,40 @@ def test_an_order_or_dim_inferred_from_an_invalid_first_exponent_names_that_expo
                                                     {"exponent": [1, 1], "value": [1, 0]}]}
         with pytest.raises(ValidationError, match=message):
             tensor_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DenseTensor(np.zeros(0)), "a dense tensor needs dimension >= 1"),
+    (lambda: outer_power([], 2), "outer power needs a nonempty vector"),
+    (lambda: contract_mode1(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((3, 3)))),
+     "first-mode dimensions differ: 2 vs 3"),
+    (lambda: multilinear_transform(DenseTensor(np.ones((2, 2))), [np.ones(2), np.eye(2)]),
+     "map for mode 0 is not a matrix"),
+    (lambda: power_span_rank([], 2), "power_span_rank needs at least one vector"),
+    (lambda: power_span_rank([(1.0, 2.0), (1.0, 2.0, 3.0)], 2), "vectors must share one dimension"),
+])
+def test_a_refused_shape_names_what_is_wrong(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
+def test_a_dense_product_past_the_float_range_is_a_typed_error_with_no_warning():
+    # pytest turns numpy's RuntimeWarning into an error, so these also assert there is none
+    big = DenseTensor(np.full((2, 2), 1e300))
+    with pytest.raises(ArithmeticOverflowError, match="^the contraction overflows the float range$"):
+        contract_mode1(big, big)
+    with pytest.raises(ArithmeticOverflowError, match="^the contraction overflows the float range$"):
+        contract_mode1(DenseTensor(np.full(2, 1e300)), DenseTensor(np.full(2, -1e300)))
+    with pytest.raises(ArithmeticOverflowError, match="^the transform overflows the float range$"):
+        multilinear_transform(big, [np.full((2, 2), 1e300), np.eye(2)])
+    assert contract_mode1(DenseTensor(np.full(2, 2.0**500)), DenseTensor(np.full(2, 2.0**500))) == 2.0**1001
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+@pytest.mark.parametrize("mode", [0, 1])
+def test_a_non_finite_map_is_refused_before_the_transform(bad, mode):
+    maps = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    maps[mode][0, 0] = bad
+    with pytest.raises(ValidationError, match=rf"^map for mode {mode} must be finite$"):
+        multilinear_transform(DenseTensor(np.ones((2, 2))), maps)
