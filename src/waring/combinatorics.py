@@ -133,21 +133,11 @@ def _class_count(k: int, n: int) -> int:
     return m
 
 
-def _class_id(p: tuple[int, ...]) -> int:
-    """Graded-lex position of an exponent vector p, without a table: where p leaves degree t
-    after x_(i+1), the C(n-i-2+t, n-i-1) classes that leave less come first."""
-    n, t, c = len(p), sum(p), 0
-    for i, e in enumerate(p[:-1]):
-        t -= e
-        c += math.comb(n - i - 2 + t, n - i - 1)
-    return c
-
-
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _id_sums(k: int, n: int) -> np.ndarray:
-    """Row s, entry t: C(n-1+t, t) - C(n-1-s+t, t), s = 0..n-1, the sum over x_1..x_s of what _class_id
-    adds for a variable that leaves degree t; rows i+1 and i differ by its step for x_(i+1),
-    C(n-i-2+t, n-i-1).  Every entry is below the class count."""
+    """Row s, entry t: C(n-1+t, t) - C(n-1-s+t, t), s = 0..n-1, the sum over x_1..x_s of the step of a variable that
+    leaves degree t: C(n-i-2+t, n-i-1) for x_(i+1), the classes that leave less there.  The one table that numbers
+    the classes; every entry is below the class count."""
     square = np.ones(sorted((n, k + 1)), dtype=np.int64)  # [a, t]: C(a+t, a), either way round
     for a in range(1, len(square)):  # one running sum per row of the shorter side, exact
         square[a] = np.cumsum(square[a - 1])
@@ -156,12 +146,13 @@ def _id_sums(k: int, n: int) -> np.ndarray:
 
 
 def _exponents(k: int, n: int, ids) -> np.ndarray:
-    """(n, len(ids)) exponent columns of the given graded-lex class ids: _class_id inverted by one
-    searchsorted per variable or, with fewer degrees, one per degree finding s_l of _dense_tables' sum."""
+    """(n, len(ids)) exponent columns of graded-lex class ids, _class_ids inverted: (k - c, c) or (k,) with n <= 2, else
+    one searchsorted per variable or, with fewer degrees, one per degree finding s_l of _dense_tables' sum."""
     out = np.zeros((n, len(ids)), dtype=np.min_scalar_type(k))
     rank, left = np.array(ids, dtype=np.int64), k
-    if n == 1:  # no table for an order that may be 10**12
-        out[0] = k
+    if n <= 2:  # no table for an order that may be 10**12
+        out[0] = k if n == 1 else k - rank
+        out[1:] = rank
         return out
     sums = _id_sums(k, n)
     if n - 1 > k:
@@ -179,16 +170,22 @@ def _exponents(k: int, n: int, ids) -> np.ndarray:
     return out
 
 
-def _class_keys(k: int, n: int, ids: np.ndarray) -> list[tuple[int, ...]]:
-    """Exponent tuples of graded-lex class ids; a few at a time of few variables come from a memo, not array calls."""
-    if len(ids) <= 8 and n <= 8:
-        return [_class_key(k, n, c) for c in ids.tolist()]
-    return [tuple(p) for p in _exponents(k, n, ids).T.tolist()]
-
-
-@lru_cache(maxsize=1024)
-def _class_key(k: int, n: int, c: int) -> tuple[int, ...]:
-    return tuple(_exponents(k, n, [c])[:, 0].tolist())
+def _class_ids(k: int, n: int, keys) -> np.ndarray:
+    """Graded-lex ids of exponent tuples of degree k >= 1, read in one pass of an iterable: p_n, or 0 with one variable,
+    and else the sum over the nonzero p_i of _id_sums' S[i, t_i + p_i] - S[i, t_i], t_i the degree left after x_(i+1):
+    the classes that leave less there come first.  Only the nonzero entries of the keys are kept."""
+    if n <= 2:
+        return np.array([p[-1] if n == 2 else 0 for p in keys], dtype=np.int64)
+    sums, ids, rows, exps = _id_sums(k, n), [], [], []
+    for p in itertools.chain(keys, [()]):  # the empty key, no exponent vector, ranks the last block
+        rows.extend(itertools.compress(itertools.count(), p))
+        exps.extend(filter(None, p))
+        if len(rows) >= 1 << 14 or not p:  # whole keys ranked a block at a time, so the scratch stays small
+            exps = np.array(exps, dtype=np.int64)
+            left = -np.cumsum(exps) % k  # each key's entries add up to k, so a key ends where none is left
+            ids.append(np.diff(np.cumsum(sums[rows, left + exps] - sums[rows, left])[left == 0], prepend=0))
+            rows, exps = [], []
+    return np.concatenate(ids)
 
 
 def _check_table(k: int, n: int) -> None:
@@ -255,8 +252,8 @@ def _class_sizes(k: int, n: int) -> np.ndarray:
 def _dense_tables(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Class id of every dense entry, row-major, and the flat index of each class's canonical entry.
 
-    The id is _class_id's sum of its steps for x_(i+1) at t_i = #{l : j_l > i} over 0-based j; t_i is k - l
-    between sorted indices s_l <= s_(l+1), so the sum telescopes to rises[s_l, k - l] over l.  Built in
+    The id is _class_ids' sum of S[i, t_i + p_i] - S[i, t_i]; the p_i sorted 0-based indices s_l equal to i are
+    consecutive, so it splits into one rise S[s_l, k - l] - S[s_l, k - l - 1] per index, l = 0..k-1.  Built in
     blocks so the scratch stays small; a class's canonical entry is the one already sorted."""
     m, total = _class_count(k, n), n**k
     rises = np.diff(_id_sums(k, n), axis=1)

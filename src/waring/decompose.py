@@ -56,6 +56,10 @@ class SymmetricDecomposition:
     vectors: np.ndarray
     field_tag: str
 
+    def __post_init__(self):  # a record built directly takes its order and dim through the integer rule too
+        for name in ("order", "dim"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+
     @property
     def terms(self) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
         """The terms as (weight, vector) pairs of Python complex numbers, in storage order."""
@@ -449,21 +453,18 @@ def limit_decomposition(spec: BorderSequenceSpec) -> SymmetricDecomposition:
 
 def border_distance_table(spec: BorderSequenceSpec) -> list[tuple[float, float]]:
     """(epsilon, frobenius distance to the limit) over the stored schedule."""
-    out = []
-    for eps in spec.epsilons:
-        step = border_sequence(spec, eps)
-        out.append((eps, frobenius_distance(step.a_eps, step.a_limit)))
-    return out
+    steps = [border_sequence(spec, eps) for eps in spec.epsilons]
+    return [(eps, frobenius_distance(step.a_eps, step.a_limit)) for eps, step in zip(spec.epsilons, steps)]
 
 
 def fit_loglog_slope(table) -> float:
-    """Least-squares slope of log distance against log epsilon."""
-    pairs = [(e, d) for e, d in table if d > 0]
-    if len(pairs) < 2:
-        raise ValidationError("need at least two positive distances to fit a slope")
-    eps = np.log([e for e, _ in pairs])
-    dist = np.log([d for _, d in pairs])
-    return float(np.polyfit(eps, dist, 1)[0])
+    """Least-squares slope of log distance against log epsilon, over the pairs of positive distance: a zero distance
+    has no log and is dropped.  Every epsilon must be positive and finite, every distance finite."""
+    eps, dist = np.array([(e, d) for e, d in table], dtype=float).reshape(-1, 2).T
+    bad = not ((0 < eps) & (eps < math.inf)).all() or not np.isfinite(dist).all()  # NaN fails too
+    if bad or len(set(eps[dist > 0].tolist())) < 2:
+        raise ValidationError("a slope needs finite pairs, epsilons > 0 and two distinct epsilons of distance > 0")
+    return float(np.polyfit(np.log(eps[dist > 0]), np.log(dist[dist > 0]), 1)[0])
 
 
 def decomposition_to_json_obj(D: SymmetricDecomposition) -> dict:

@@ -73,11 +73,8 @@ class TrialStats:
 
     @property
     def stderr(self) -> float:
-        denom = self.rank2 + self.rank3
-        if not denom:
-            return math.nan
-        f = self.rank2 / denom
-        return math.sqrt(f * (1.0 - f) / denom)
+        f, denom = self.fraction, self.rank2 + self.rank3
+        return math.sqrt(f * (1.0 - f) / denom) if denom else math.nan
 
 
 def _gaussians(u: np.ndarray) -> np.ndarray:
@@ -245,14 +242,10 @@ def typical_rank_experiment(case: str, samples: int, seed: int, workers: int = 1
 
 
 def stats_to_csv(stats: TrialStats) -> str:
-    """One-row CSV with header; fraction and stderr print 12 significant digits."""
-
-    def fmt(x: float) -> str:
-        return "nan" if math.isnan(x) else format(x, ".12g")
-
+    """One-row CSV with header; fraction and stderr print 12 significant digits, or nan."""
     header = "case,samples,seed,rank2,rank3,degenerate,fraction,stderr"
     row = (
         f"{stats.case},{stats.samples},{stats.seed},{stats.rank2},"
-        f"{stats.rank3},{stats.degenerate},{fmt(stats.fraction)},{fmt(stats.stderr)}"
+        f"{stats.rank3},{stats.degenerate},{stats.fraction:.12g},{stats.stderr:.12g}"
     )
     return header + "\n" + row + "\n"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_count, _class_id, _class_keys, _class_size, _class_sizes, _exponents
+from .combinatorics import _class_count, _class_ids, _class_size, _class_sizes, _exponents
 from .errors import ArithmeticOverflowError, ValidationError, _excerpt, _integer
 from .tensor_core import SymmetricTensor, _frozen_finite, _Immutable, _power_sum, outer_power
 
@@ -105,8 +105,10 @@ def evaluate(F: Quantic, x) -> complex:
     """F at the point x: sum_p multinomial(p) a_p x^p over the nonzero classes p.  Decided from the exponents e_i,
     2^e_i <= the largest |re| or |im| of coordinate i, before the kernel runs: the point as it is where every product
     of k coordinates is normal, 53 bits clear of the subnormals; else coordinate i over 2^e_i, each class's term then
-    shifted back by sum p_i e_i.  Exact there, so no power is lost below the float range; it raises where the value or
-    a power of the divided coordinates leaves the float range."""
+    shifted back by sum p_i e_i; where a nonzero class's product of these moduli, in [1, 2^1.5), surely passes the
+    float range, and k <= 1938, over the power of two nearest its modulus, so every product lies in 2^(+-k/2).  Exact
+    there, so no power is lost below the float range; it raises where the value or a power of the divided
+    coordinates leaves the float range."""
     point = _frozen_finite(np.array([complex(c) for c in x], dtype=np.complex128), "point coordinates")
     if len(point) != F.nvars:
         raise ValidationError(f"point has {len(point)} entries, expected {F.nvars}")
@@ -115,9 +117,11 @@ def evaluate(F: Quantic, x) -> complex:
     mags = [max(abs(c.real), abs(c.imag)) for c in point.tolist()]  # 2^e_i <= mags_i < 2^(e_i + 1); e_i = -1 at a zero
     lo, hi = math.frexp(min(filter(None, mags), default=0.0))[1] - 1, math.frexp(max(mags))[1] - 1
     if k * min(lo, 0) < -969 or k * max(hi + 1.5, 0) > 1023:  # k-fold product moduli: [2^(k lo), 2^(k (hi + 1.5)))
-        e = np.frexp(mags)[1] - 1
+        e, exps = np.frexp(mags)[1] - 1, _exponents(k, n, nz)
         point = np.ldexp(point.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
-        shift = e @ _exponents(k, n, nz)
+        if k <= 1938 and (np.log2(np.maximum(mods := abs(point), 1.0)) @ exps).max(initial=0.0) > 1025:
+            e, point = e + (half := mods >= math.sqrt(2)), np.where(half, point / 2, point)
+        shift = e @ exps
     with np.errstate(over="ignore", invalid="ignore"):
         monomials = _power_sum(np.ones(1, dtype=np.complex128), point[None, :], k)[nz]
     if not np.isfinite(monomials).all():
@@ -155,13 +159,7 @@ def _format_real(x: float) -> str:
 
 
 def _format_monomial(p) -> str:
-    factors = []
-    for i, e in enumerate(p, start=1):
-        if e == 1:
-            factors.append(f"x{i}")
-        elif e > 1:
-            factors.append(f"x{i}^{e}")
-    return "*".join(factors)
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(p, start=1) if e)
 
 
 def _signed_term(p: tuple[int, ...], a: complex) -> tuple[str, str]:
@@ -186,7 +184,7 @@ def render_quantic(F: Quantic) -> str:
     nz = np.flatnonzero(vec := F._tensor._vector)[::-1]
     if not len(nz):
         return "0"
-    (sign, first), *rest = map(_signed_term, _class_keys(F.degree, F.nvars, nz), vec[nz].tolist())
+    (sign, first), *rest = map(_signed_term, map(tuple, _exponents(F.degree, F.nvars, nz).T.tolist()), vec[nz].tolist())
     return ("-" if sign == "-" else "") + first + "".join(f" {s} {body}" for s, body in rest)
 
 
@@ -270,8 +268,7 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
         raise ValidationError(f"terms have mixed degrees {sorted(degrees)}; a quantic is homogeneous")
     k = degrees.pop()
     vec = np.zeros(_class_count(k, n), dtype=np.complex128)  # a shape past the class cap fails before any n-tuple
-    for coeff, exps in parsed:
-        p = tuple(exps.get(i, 0) for i in range(1, n + 1))
-        c = _class_id(p)
+    keys = [tuple(exps.get(i, 0) for i in range(1, n + 1)) for _, exps in parsed]
+    for c, (coeff, _), p in zip(_class_ids(k, n, keys).tolist(), parsed, keys):
         vec[c] = complex(vec[c]) + coeff / _class_size(p)  # Python's sum: an overflow reads inf, without a warning
     return Quantic._of(SymmetricTensor._of(k, n, vec))

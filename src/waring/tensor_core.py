@@ -9,7 +9,7 @@ result of symmetrize or decompress keeps its classes, so is_symmetric and
 compress answer from them; other dense tensors are scanned entry by entry.
 
 One read-only graded-lex class vector is shared with a Quantic of the same data, and the JSON writer reads it, or the
-dense array, as it is; coeffs derives a dict.  Class positions come from exponents by arithmetic, kernels read
+dense array, as it is; coeffs derives a dict.  Class positions and exponents convert in batches, kernels read
 per-(k, n) tables of the 8 latest shapes through ndarray.take, only _power_sum forms class monomials, from their
 factors that are not 1, and only the dense conversions map each dense entry to its class (1-2 bytes).  Both
 containers are immutable and finite-valued.
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .combinatorics import (
-    _class_count, _class_id, _class_keys, _class_sizes, _dense_tables, _frozen, _head_tail_blocks, as_exponent,
+    _class_count, _class_ids, _class_sizes, _dense_tables, _exponents, _frozen, _head_tail_blocks, as_exponent,
 )
 from .errors import (
     ArithmeticOverflowError, CapacityError, SymmetryError, ValidationError, _check_tol, _excerpt, _integer,
@@ -108,18 +108,22 @@ class SymmetricTensor(_Immutable):
 
     def __init__(self, order: int, dim: int, coeffs):
         order, dim = _integer(order, "order", 1), _integer(dim, "dim", 1)
-        vec = np.zeros(_class_count(order, dim), dtype=np.complex128)
-        for p, v in dict(coeffs).items():
-            key = as_exponent(p)
-            if len(key) != dim:
-                raise ValidationError(f"an exponent has {len(key)} entries, expected {dim}")
-            if sum(key) != order:
-                if max(key) > order:  # say so without formatting an entry past int's digit limit
-                    raise ValidationError(f"an exponent has an entry above the order {order}")
-                raise ValidationError(f"exponent {_excerpt(key)} has degree {sum(key)}, expected {order}")
-            value = complex(v)
-            if value != 0:
-                vec[_class_id(key)] = value
+        vec, values = np.zeros(_class_count(order, dim), dtype=np.complex128), []
+
+        def nonzero_keys():  # each key checked and its value read in turn; no key, and no copy of a dict, is kept
+            for p, v in (coeffs if type(coeffs) is dict else dict(coeffs)).items():
+                key = as_exponent(p)
+                if len(key) != dim:
+                    raise ValidationError(f"an exponent has {len(key)} entries, expected {dim}")
+                if sum(key) != order:
+                    if max(key) > order:  # say so without formatting an entry past int's digit limit
+                        raise ValidationError(f"an exponent has an entry above the order {order}")
+                    raise ValidationError(f"exponent {_excerpt(key)} has degree {sum(key)}, expected {order}")
+                if (value := complex(v)) != 0:
+                    values.append(value)
+                    yield key
+        ids = _class_ids(order, dim, nonzero_keys())
+        vec[ids] = values
         self._fill(order=order, dim=dim, _vector=_frozen_finite(vec, "coefficients"))
 
     @classmethod
@@ -131,7 +135,7 @@ class SymmetricTensor(_Immutable):
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
         nz = np.flatnonzero(self._vector)
-        return dict(zip(_class_keys(self.order, self.dim, nz), self._vector[nz].tolist()))
+        return dict(zip(map(tuple, _exponents(self.order, self.dim, nz).T.tolist()), self._vector[nz].tolist()))
 
     def __repr__(self):
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, classes={np.count_nonzero(self._vector)})"
@@ -306,6 +310,8 @@ def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Singular values above tol times the largest column norm."""
     _check_tol(tol)
     m = _frozen_finite(np.atleast_2d(np.array(matrix, dtype=np.complex128)), "matrix entries")
+    if m.ndim > 2:  # svd would take it as a stack of matrices
+        raise ValidationError(f"numerical_rank needs a matrix, got {m.ndim} axes")
     top = float(np.maximum(abs(m.real), abs(m.imag)).max(initial=0.0))
     if top == 0.0:  # also an empty matrix
         return 0
@@ -387,9 +393,9 @@ def tensor_to_json_obj(x) -> dict:
         return {"order": x.order, "dim": x.dim, "format": "dense", "entries": _pairs(x.array.reshape(-1))}
     if isinstance(x, SymmetricTensor):
         nz = np.flatnonzero(x._vector)
-        coeffs = zip(_class_keys(x.order, x.dim, nz), _pairs(x._vector[nz]))
+        coeffs = zip(_exponents(x.order, x.dim, nz).T.tolist(), _pairs(x._vector[nz]))
         return {"order": x.order, "dim": x.dim, "format": "sym",
-                "coeffs": [{"exponent": list(p), "value": v} for p, v in coeffs]}
+                "coeffs": [{"exponent": p, "value": v} for p, v in coeffs]}
     raise ValidationError(f"cannot serialize {type(x).__name__} as a tensor")
 
 

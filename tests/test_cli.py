@@ -421,12 +421,12 @@ def test_asymmetric_input_to_to_poly_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["x1^70", "x1^35*x2^35", "x1^1000000*x2", "-2*x7^2 + x1*x300", "x1^1000000000000"]
+    "text", ["x1^70", "x1^35*x2^35", "x1^1000000*x2", "-2*x7^2 + x1*x300", "x1^1000000000000", "x1000000"]
 )
 def test_poly_round_trip_for_high_orders_and_wide_forms(capsys, tmp_path, text):
     # class sizes past the int64 range (C(70, 35)), a million-and-one classes, a
-    # 300-variable quadratic and a single variable of order 10^12: none needs an
-    # exponent table to pass through
+    # 300-variable quadratic, a single variable of order 10^12 and a linear form
+    # over C^(10^6): none needs an exponent table to pass through
     poly = tmp_path / "form.txt"
     poly.write_text(text + "\n")
     sym = tmp_path / "form.json"

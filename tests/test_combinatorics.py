@@ -112,12 +112,12 @@ def test_multinomial_past_the_float_range_does_not_format_a_huge_entry(p):
 
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 3), (3, 12), (6, 5)])
 def test_dense_tables_number_classes_in_storage_order(k, n):
-    from waring.combinatorics import _class_id, _dense_tables, _exponents
+    from waring.combinatorics import _class_ids, _dense_tables, _exponents
 
     ids, canon = _dense_tables(k, n)
     exps = enumerate_exponents(k, n)
     assert ids.dtype == (np.uint8 if len(exps) <= 256 else np.uint16)
-    assert [_class_id(p) for p in exps] == list(range(len(exps)))
+    assert _class_ids(k, n, _cwr_exponents(k, n, range(len(exps)))).tolist() == list(range(len(exps)))
     assert [tuple(p) for p in _exponents(k, n, [len(exps) - 1, 0]).T.tolist()] == [exps[-1], exps[0]]
     for flat, cls in zip(range(n**k), ids):
         assert index_to_exponent([i + 1 for i in np.unravel_index(flat, (n,) * k)], n) == exps[cls]
@@ -226,24 +226,28 @@ def test_a_second_exponents_call_builds_no_table():
 
 @pytest.mark.parametrize("k,n", [(1, 1), (7, 1), (5, 2), (3, 4), (2, 9), (4, 6)])
 def test_class_id_and_exponents_invert_each_other(k, n):
-    from waring.combinatorics import _class_id, _class_keys, _exponents
+    from waring.combinatorics import _class_ids, _exponents
 
     exps = enumerate_exponents(k, n)
     ids = np.arange(len(exps))
     assert [tuple(p) for p in _exponents(k, n, ids).T.tolist()] == exps
-    assert [_class_id(p) for p in exps] == ids.tolist()
-    assert _class_keys(k, n, ids[-3:]) == exps[-3:]  # the memo path
-    assert _class_keys(k, n, ids) == exps  # the array path
+    assert _class_ids(k, n, _cwr_exponents(k, n, ids.tolist())).tolist() == ids.tolist()
+    assert _class_ids(k, n, iter(exps[::-1])).tolist() == ids[::-1].tolist()  # one pass of an iterator, any order
+    assert [tuple(p) for p in _exponents(k, n, ids[-3:]).T.tolist()] == exps[-3:]
 
 
 def test_class_ids_of_wide_and_tall_shapes_need_no_table():
-    from waring.combinatorics import _class_id, _class_keys
+    from waring.combinatorics import _class_ids, _exponents, _id_sums
 
     wide = (0,) * 150 + (1,) + (0,) * 148 + (1,)  # x151*x300 among the 45150 quadratics
-    assert _class_keys(2, 300, np.array([_class_id(wide)])) == [wide]
-    assert _class_id((1, 0) + (0,) * 298) == 0 and _class_id((0,) * 299 + (2,)) == math.comb(301, 2) - 1
-    assert _class_id((10**6, 1)) == 1
-    assert _class_keys(10**6 + 1, 2, np.array([1, 10**6 + 1])) == [(10**6, 1), (0, 10**6 + 1)]
+    ids = [0, 12_345, 33_974, math.comb(301, 2) - 1]
+    assert _cwr_exponents(2, 300, [33_974]) == [wide]
+    assert _class_ids(2, 300, _cwr_exponents(2, 300, ids)).tolist() == ids
+    assert _exponents(2, 300, _class_ids(2, 300, [wide])).T.tolist() == [list(wide)]
+    _id_sums.cache_clear()
+    assert _class_ids(10**6 + 1, 2, [(10**6 + 1, 0), (10**6, 1), (0, 10**6 + 1)]).tolist() == [0, 1, 10**6 + 1]
+    assert _class_ids(10**12, 1, [(10**12,)]).tolist() == [0] and _id_sums.cache_info().currsize == 0
+    assert _exponents(10**6 + 1, 2, np.array([1, 10**6 + 1])).T.tolist() == [[10**6, 1], [0, 10**6 + 1]]
 
 
 def _cwr_exponents(k, n, ids):
@@ -268,20 +272,21 @@ def _cwr_exponents(k, n, ids):
 )
 def test_exponents_walk_either_side_in_combinations_order(k, n, ids):
     # with more variables than degrees the walk goes over the k degrees, not the n - 1 variables
-    from waring.combinatorics import _class_id, _exponents
+    from waring.combinatorics import _class_ids, _exponents
 
     ids = list(range(sym_dimension(k, n))) if ids is None else ids
     exps = [tuple(p) for p in _exponents(k, n, np.array(ids)).T.tolist()]
     assert exps == _cwr_exponents(k, n, ids)
-    assert [_class_id(p) for p in exps] == ids
+    if k:  # a key of degree 0 has no class id to rank: no tensor has order 0
+        assert _class_ids(k, n, _cwr_exponents(k, n, ids)).tolist() == ids
 
 
 def test_exponents_of_a_tall_binary_shape():
-    from waring.combinatorics import _class_id, _exponents
+    from waring.combinatorics import _class_ids, _exponents
 
     k = 10**6 + 1
     assert _exponents(k, 2, [0, 777_777]).T.tolist() == [[k, 0], [k - 777_777, 777_777]]
-    assert _class_id((k - 777_777, 777_777)) == 777_777
+    assert _class_ids(k, 2, [(k, 0), (k - 777_777, 777_777)]).tolist() == [0, 777_777]
 
 
 def test_first_coeffs_of_a_wide_order_1_tensor_is_fast():
@@ -296,16 +301,15 @@ def test_first_coeffs_of_a_wide_order_1_tensor_is_fast():
 
 
 def test_coeffs_of_a_wide_tensor_leave_no_key_in_a_memo():
-    from waring.combinatorics import _class_id, _class_key
+    from waring import combinatorics
     from waring.tensor_core import SymmetricTensor
 
     key = (0,) * 99_999 + (1,)
     wide = SymmetricTensor(1, 10**5, {key: 1.0})
-    _class_key.cache_clear()
     assert wide.coeffs == {key: 1.0}
-    assert _class_key.cache_info().currsize == 0 and not hasattr(_class_id, "cache_info")
     assert SymmetricTensor(3, 2, {(1, 2): 1.0}).coeffs == {(1, 2): 1.0}
-    assert _class_key.cache_info().currsize == 1  # a binary form's key still comes from the memo
+    # keys and ids convert in batches, with no cache of their own: every cache in combinatorics is per (k, n)
+    assert not any(hasattr(getattr(combinatorics, name), "cache_info") for name in ("_class_ids", "_exponents"))
 
 
 def test_every_functools_cache_in_waring_is_bounded():
@@ -320,7 +324,7 @@ def test_every_functools_cache_in_waring_is_bounded():
             for obj in [value, *vars(value).values()] if isinstance(value, type) else [value]:
                 if hasattr(obj, "cache_parameters"):
                     caches.add(obj)
-    assert {"_class_count", "_class_key", "_id_sums", "_head_tail_blocks"} <= {c.__name__ for c in caches}
+    assert {"_class_count", "_id_sums", "_head_tail_blocks"} <= {c.__name__ for c in caches}
     assert [c.__name__ for c in caches if c.cache_parameters()["maxsize"] is None] == []
 
 

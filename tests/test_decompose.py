@@ -987,6 +987,26 @@ def test_fit_loglog_slope_validates():
         fit_loglog_slope([(0.5, 0.0)])
 
 
+@pytest.mark.parametrize("table", [
+    [(0.5, 1.0), (0.5, 2.0)],  # one epsilon twice: the slope read -0.25 with a RankWarning
+    [(0.5, 0.0), (0.25, 1.0), (0.25, 2.0)],  # the zero distance goes, so one epsilon is left
+    [(0.5, math.inf), (0.25, 1.0)],  # read nan
+    [(math.nan, 1.0), (0.25, 1.0)],  # raised LinAlgError with LAPACK lines on stderr
+    [(-0.5, 1.0), (0.25, 1.0)],  # a RuntimeWarning from np.log
+    [(0.0, 1.0), (0.25, 1.0)],
+    [(math.inf, 1.0), (0.25, 1.0)],
+    [(0.5, math.nan), (0.25, 1.0)],
+])
+def test_fit_loglog_slope_refuses_what_it_cannot_fit(table, capfd):
+    with pytest.raises(ValidationError, match="epsilon"):
+        fit_loglog_slope(table)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_fit_loglog_slope_drops_a_zero_distance():
+    assert fit_loglog_slope([(0.5, 1.0), (0.25, 0.5), (0.125, 0.0)]) == pytest.approx(1.0, rel=1e-12)
+
+
 # --- decomposition JSON --------------------------------------------------------
 
 

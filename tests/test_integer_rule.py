@@ -38,6 +38,8 @@ CALLS = {
     "Quantic": (dict(degree=2, nvars=2, terms={(1, 1): 1.0}), dict(degree=0, nvars=0)),
     "parse_quantic": (dict(text="x1*x2", nvars=3), dict(nvars=0)),
     "make_decomposition": (dict(order=3, dim=2, terms=[(1.0, (1.0, 2.0))]), dict(order=0, dim=0)),
+    "SymmetricDecomposition": (dict(order=3, dim=2, weights=np.ones(1, complex), vectors=np.ones((1, 2), complex),
+                                    field_tag="C"), dict(order=0, dim=0)),
     "outer_power": (dict(v=(1.0, 2.0), k=3), dict(k=0)),
     "veronese": (dict(L=(1.0, 2.0), k=3), dict(k=0)),
     "power_span_rank": (dict(vectors=[(1.0, 2.0), (1.0, 3.0)], k=3), dict(k=0)),
@@ -51,7 +53,7 @@ CALLS = {
                                 dict(samples=0, seed=-1, workers=0)),
 }
 # Records the library fills from checked values, and an error's offending index tuple: not entry points.
-RECORDS = {"BorderSequenceSpec", "RankReport", "SymmetricDecomposition", "TrialStats", "SymmetryError"}
+RECORDS = {"BorderSequenceSpec", "RankReport", "TrialStats", "SymmetryError"}
 
 
 def _integer_parameters(obj) -> list[str]:
@@ -134,6 +136,13 @@ def test_numpy_integer_exponent_entries_give_python_ints():
     assert type(waring.multinomial(p)) is int and type(waring.degree(p)) is int
     assert all(type(e) is int for e in waring.index_to_exponent((np.int64(1), np.uint8(2)), np.int64(2)))
     _ints_only(waring.SymmetricTensor(3, 2, {p: 1.0}).coeffs)
+
+
+def test_a_decomposition_record_built_directly_keeps_an_int_order_its_norm_can_take():
+    # the record stored np.int64(3), and the class norm of its reconstruction called int.bit_length on it
+    D = waring.SymmetricDecomposition(np.int64(3), np.int64(2), np.ones(1, complex), np.ones((1, 2), complex), "C")
+    assert type(D.order) is int and type(D.dim) is int
+    assert waring.frobenius_norm(waring.reconstruct(D)) == pytest.approx(8**0.5, rel=1e-15)
 
 
 def test_a_float_order_is_refused_after_the_same_integer_shape_is_cached():

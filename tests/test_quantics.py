@@ -551,3 +551,23 @@ def test_evaluate_matches_an_exact_sum_on_wide_spread_points():
         assert abs(Fraction(got.real) - re) <= bound and abs(Fraction(got.imag) - im) <= bound, (F.terms, point)
         outcomes["value"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("k, z", [(1000, 1.9 + 1.9j), (1900, 1.2 + 1.2j)])
+def test_evaluate_divides_a_complex_coordinate_by_the_power_of_two_nearest_its_modulus(k, z):
+    # over the 2^e of its larger part z keeps a modulus of 2^1.43 or 2^0.76, and z^k passed the float range: it raised.
+    # z = a (1 + i) with k/2 even, so z^k = a^k (2i)^(k/2) = +-a^k 2^(k/2) is real; the summed magnitude is (2a)^k
+    a, sign = Fraction(z.real), (-1) ** (k // 4 % 2)
+    re, magnitude = Fraction(1e-300) * a**k * 2 ** (k // 2) * sign, Fraction(1e-300) * (2 * a) ** k
+    got = evaluate(Quantic(k, 1, {(k,): 1e-300}), [z])
+    bound = 8 * (k + 4) * Fraction(2) ** -52 * magnitude
+    assert abs(Fraction(got.real) - re) <= bound and abs(Fraction(got.imag)) <= bound
+    if k == 1000:
+        assert float(re) == 1.856088948254575e129
+
+
+def test_evaluate_above_order_1938_keeps_the_parts_divisor_and_raises_where_a_power_overflows():
+    # the nearest power of two would leave products down to 2^(-k/2), into the subnormals
+    with pytest.raises(ArithmeticOverflowError, match="powers outside the float range"):
+        evaluate(Quantic(2000, 1, {(2000,): 1e-300}), [1.2 + 1.2j])
+    assert evaluate(Quantic(3000, 1, {(3000,): 1.5}), [1.0]) == 1.5

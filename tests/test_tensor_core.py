@@ -861,6 +861,13 @@ def test_numerical_rank_rejects_a_non_finite_entry(matrix):
         numerical_rank(matrix)
 
 
+def test_numerical_rank_refuses_an_array_of_three_axes():
+    # svd took the 2 x 2 x 2 array as a stack of two 2 x 2 matrices and read rank 2
+    with pytest.raises(ValidationError, match="numerical_rank needs a matrix, got 3 axes"):
+        numerical_rank(np.ones((2, 2, 2)))
+    assert numerical_rank(np.ones((2, 2))) == 1 and numerical_rank([1.0, 2.0]) == 1
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-170])
 def test_numerical_rank_of_huge_or_tiny_entries(scale):
     # the column norms of the unscaled matrix overflow or underflow, which read as rank 0
