@@ -69,8 +69,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
     return value
 
 

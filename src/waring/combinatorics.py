@@ -82,7 +82,7 @@ def _class_size(p: tuple[int, ...], what: str = "") -> int:
     range before a binomial of possibly millions of digits is computed.
     """
     size, top = 1, sys.float_info.max
-    for total, e in zip(itertools.accumulate(p), p):
+    for total, e in itertools.compress(zip(itertools.accumulate(p), p), p):  # a zero e's factor C(total, 0) is 1
         s = min(e, total - e)
         size = math.inf if s >= 600 or (s and total > top) else size * math.comb(total, s)
         if size > top:

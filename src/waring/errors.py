@@ -18,8 +18,8 @@ class ValidationError(ValueError):
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= 0:  # NaN fails too
-        raise ValidationError("tolerance must be >= 0")
+    if not 0 <= tol < float("inf"):  # NaN fails too; an infinite tolerance would pass anything
+        raise ValidationError("tolerance must be >= 0 and finite")
 
 
 def _integer(value, what: str, low: int) -> int:

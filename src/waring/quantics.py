@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _class_count, _class_ids, _class_size, _class_sizes, _exponents
+from .combinatorics import _class_size, _class_sizes, _exponents
 from .errors import ArithmeticOverflowError, ValidationError, _excerpt, _integer
 from .tensor_core import SymmetricTensor, _frozen_finite, _Immutable, _power_sum, outer_power
 
@@ -267,8 +267,6 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     if len(degrees) != 1:
         raise ValidationError(f"terms have mixed degrees {sorted(degrees)}; a quantic is homogeneous")
     k = degrees.pop()
-    vec = np.zeros(_class_count(k, n), dtype=np.complex128)  # a shape past the class cap fails before any n-tuple
-    keys = [tuple(exps.get(i, 0) for i in range(1, n + 1)) for _, exps in parsed]
-    for c, (coeff, _), p in zip(_class_ids(k, n, keys).tolist(), parsed, keys):
-        vec[c] = complex(vec[c]) + coeff / _class_size(p)  # Python's sum: an overflow reads inf, without a warning
-    return Quantic._of(SymmetricTensor._of(k, n, vec))
+    terms = ((p, coeff / _class_size(p)) for coeff, exps in parsed  # read after the constructor's class cap check
+             for p in [tuple(exps.get(i, 0) for i in range(1, n + 1))])  # the constructor sums a repeated p
+    return Quantic._of(SymmetricTensor(k, n, terms))

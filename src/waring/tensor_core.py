@@ -98,10 +98,10 @@ class DenseTensor(_Immutable):
 
 
 class SymmetricTensor(_Immutable):
-    """Order-k dim-n symmetric tensor keyed by exponent class.
+    """Order-k dim-n symmetric tensor keyed by exponent class, the one door for exponent keys from outside.
 
-    `coeffs` maps each nonzero class to its entry in graded-lex order; absent
-    classes are zero and exact zeros are pruned.
+    `coeffs` maps exponents to entries (anything dict() reads through keys), or is an iterable of (exponent, value)
+    pairs whose values for one class add in order from 0.  Graded-lex storage; exact zeros are pruned.
     """
 
     __slots__ = ("order", "dim", "_vector")
@@ -109,9 +109,10 @@ class SymmetricTensor(_Immutable):
     def __init__(self, order: int, dim: int, coeffs):
         order, dim = _integer(order, "order", 1), _integer(dim, "dim", 1)
         vec, values = np.zeros(_class_count(order, dim), dtype=np.complex128), []
+        mapping = hasattr(coeffs, "keys")
 
         def nonzero_keys():  # each key checked and its value read in turn; no key, and no copy of a dict, is kept
-            for p, v in (coeffs if type(coeffs) is dict else dict(coeffs)).items():
+            for p, v in (coeffs if type(coeffs) is dict else dict(coeffs)).items() if mapping else coeffs:
                 key = as_exponent(p)
                 if len(key) != dim:
                     raise ValidationError(f"an exponent has {len(key)} entries, expected {dim}")
@@ -123,7 +124,8 @@ class SymmetricTensor(_Immutable):
                     values.append(value)
                     yield key
         ids = _class_ids(order, dim, nonzero_keys())
-        vec[ids] = values
+        for c, v in zip(ids.tolist(), values):  # Python's sum of pairs in order: an overflow reads inf, with no warning
+            vec[c] = v if mapping else vec.item(c) + v
         self._fill(order=order, dim=dim, _vector=_frozen_finite(vec, "coefficients"))
 
     @classmethod
@@ -447,20 +449,19 @@ def tensor_from_json_obj(obj):
         coeffs_json = obj.get("coeffs")
         if not isinstance(coeffs_json, list):
             raise ValidationError("field 'coeffs': expected a list")
-        coeffs = {}
+        coeffs = []  # (exponent list, value) pairs, which the constructor checks, ranks and sums
         for item in coeffs_json:
             if not isinstance(item, dict) or "exponent" not in item or "value" not in item:
                 raise ValidationError("field 'coeffs': each item needs 'exponent' and 'value'")
             exp = item["exponent"]
             if not isinstance(exp, list) or not {*map(type, exp)} <= {int}:
                 raise ValidationError("field 'exponent': expected a list of integers")
-            p = tuple(exp)  # the constructor validates it
-            coeffs[p] = coeffs.get(p, 0j) + _read_pair(item["value"], "value")
+            coeffs.append((exp, _read_pair(item["value"], "value")))
         order, dim = obj.get("order"), obj.get("dim")
         if order is None or dim is None:
             if not coeffs:
                 raise ValidationError("field 'order'/'dim': required when 'coeffs' is empty")
-            some = as_exponent(next(iter(coeffs)))
+            some = as_exponent(coeffs[0][0])
             order = sum(some) if order is None else order
             dim = len(some) if dim is None else dim
         return SymmetricTensor(_read_size(order, "order"), _read_size(dim, "dim"), coeffs)

@@ -523,7 +523,7 @@ _FLOAT_FLAG_COMMANDS = {
 
 
 @pytest.mark.parametrize("flag", sorted(_FLOAT_FLAG_COMMANDS))
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "abc", "1e-6"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc", "1e-6"])
 def test_float_flags_take_only_positive_numbers(capsys, flag, value):
     code, _, err = run(capsys, *_FLOAT_FLAG_COMMANDS[flag], flag, value)
     if value == "1e-6":

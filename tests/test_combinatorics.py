@@ -60,6 +60,13 @@ def test_multinomial_values():
     assert multinomial((0, 0, 4)) == 1
 
 
+def test_multinomial_of_a_wide_key_with_zeros_between_its_entries():
+    # only the nonzero entries contribute a binomial factor; the zeros between them contribute C(total, 0) = 1
+    p = (0,) * 100 + (2,) + (0,) * 150 + (3,) + (0,) * 49 + (1,) + (0,) * 20
+    assert multinomial(p) == math.factorial(6) // (math.factorial(2) * math.factorial(3)) == 60
+    assert multinomial((0, 5, 0, 0, 5, 0)) == math.comb(10, 5)
+
+
 def test_multinomial_sums_to_power():
     # sum over all exponents of degree k equals n^k
     for k in range(0, 6):

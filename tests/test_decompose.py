@@ -377,7 +377,7 @@ def test_a_power_of_two_scale_changes_no_decision(shift, shape, seed, nudge):
     assert judged(2.0**shift) == (*decisions, pytest.approx(residual, rel=1e-12))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_verify_refuses_negative_and_nan_tolerances(tol):
     exact = make_decomposition(3, 2, [(1.0, (1, 0))])
     with pytest.raises(ValidationError, match="tolerance must be >= 0"):

@@ -1,18 +1,25 @@
-"""Exponent keys in, class vectors out: a seeded corpus through every entry point that ranks keys.
+"""Exponent keys in, class vectors out: a seeded corpus through every entry point that takes keys.
 
-The keyed constructor, parse_quantic and the sym JSON reader rank their keys in one batch.  Each must
-write the class vector that a key-by-key walk over the graded-lex table writes, for keys holding bool
-and np.int64 entries, values with -0 parts, JSON exponents given twice and terms written twice.  The
-digest pins those vectors and everything written back from them (coeffs, JSON, text,
-enumerate_exponents) to the bytes of the key-by-key implementation this batch replaced.  Bad keys
-keep their messages, and the first bad key in iteration order is the one reported.
+The keyed constructor is the one door: parse_quantic and the sym JSON reader hand it (exponent, value)
+pairs, whose values for one class it adds in order from 0, while a mapping's entries are assigned.  Each
+entry point must write the class vector that a key-by-key walk over the graded-lex table writes, for
+keys holding bool and np.int64 entries, values with -0 parts, JSON exponents given twice and terms
+written twice.  The digest pins those vectors and everything written back from them (coeffs, JSON,
+text, enumerate_exponents) to the bytes of the key-by-key implementation the batch ranking replaced.
+Bad keys keep their messages, and the first bad key in iteration order is the one reported.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
+import tracemalloc
+import warnings
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -157,3 +164,75 @@ def test_the_sym_json_reader_reports_the_first_bad_exponent_as_before(coeffs, me
     with pytest.raises(ValidationError) as info:
         tensor_from_json_obj({"format": "sym", "order": 3, "dim": 2, "coeffs": coeffs})
     assert str(info.value) == message
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z]).tobytes()
+
+
+def test_pairs_that_name_one_class_twice_add_in_order_from_zero():
+    values = [complex(0.5, -0.0), 1e16, complex(1.0, 2.0), -1e16]
+    fold = functools.reduce(operator.add, values, 0j)  # Python's left fold: 2j
+    assert fold not in (values[-1], sum(reversed(values)))  # neither the last value nor another order reads it
+    pairs = [((2, 1), v) for v in values] + [((0, 3), complex(-0.0, 1.0))]
+    for coeffs in (pairs, iter(pairs), (pair for pair in pairs), tuple(pairs)):
+        got = SymmetricTensor(3, 2, coeffs).coeffs
+        assert list(got) == [(2, 1), (0, 3)]
+        assert _bits(got[(2, 1)]) == _bits(fold)
+        assert _bits(got[(0, 3)]) == _bits(1j)  # a -0 part of a single pair reads +0, as 0j + value has it
+
+
+class _KeyedDict(dict):
+    pass
+
+
+class _KeysOnly:
+    """Neither a dict nor a collections.abc.Mapping: dict() reads it through keys and item lookup."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def keys(self):
+        return self._entries.keys()
+
+    def __getitem__(self, p):
+        return self._entries[p]
+
+
+@pytest.mark.parametrize("wrap", [dict, OrderedDict, MappingProxyType, _KeyedDict, _KeysOnly])
+def test_every_mapping_assigns_its_entries(wrap):
+    entries = {(0, 3): 2.0, (2, 1): complex(1.0, -0.0), (1, 2): 0.0}
+    got = SymmetricTensor(3, 2, wrap(entries)).coeffs
+    assert list(got) == [(2, 1), (0, 3)]
+    assert _bits(got[(2, 1)]) == _bits(complex(1.0, -0.0))  # assigned, so its -0 part stays
+    assert _bits(got[(0, 3)]) == _bits(2 + 0j)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricTensor(3, 2, [((2, 1), 1e308), ((2, 1), 1e308)]),
+    lambda: SymmetricTensor(3, 2, (((0, 3), v) for v in (-1e308, -1e308j, -1e308))),
+    lambda: tensor_from_json_obj({"format": "sym", "order": 3, "dim": 2,
+                                  "coeffs": [{"exponent": [1, 2], "value": [1e308, 0]}] * 2}),
+    lambda: parse_quantic("1e308*x1^2 + 1e308*x1^2"),
+])
+def test_a_pair_sum_that_overflows_is_refused_without_a_numpy_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            build()
+    assert str(info.value) == "coefficients must be finite"
+
+
+def test_the_sym_json_reader_keeps_no_copy_of_its_exponents():
+    # the full quadratic over C^120: 7,260 exponent lists of 120 entries, whose tuple copies alone take about 7 MiB
+    classes = enumerate_exponents(2, 120)
+    obj = {"format": "sym", "coeffs": [{"exponent": list(p), "value": [1.0, 0.5]} for p in classes]}
+    tensor_from_json_obj(obj)  # builds the shape's tables
+    tracemalloc.start()
+    try:
+        read = tensor_from_json_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (read.order, read.dim, np.count_nonzero(read._vector)) == (2, 120, len(classes))
+    assert peak < 2 * 2**20, peak

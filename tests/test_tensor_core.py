@@ -833,7 +833,7 @@ def test_json_shape_past_the_int_digit_limit_is_an_overflow_error(obj):
 _SYMMETRIC = DenseTensor(np.ones((2, 2, 2)))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize(
     "call",
     [
