@@ -57,7 +57,7 @@ def sym_dimension(k: int, n: int) -> int:
 
 def _arguments(args: tuple[int, ...]) -> str:
     """args as a message prints them, unless one is past int-to-string's digit limit."""
-    return f"{args}" if max(args).bit_length() < 2000 else " of an argument past 600 digits"
+    return f"{tuple(args)}" if max(args).bit_length() < 2000 else " of an argument past 600 digits"
 
 
 def multinomial(p) -> int:

@@ -34,7 +34,6 @@ from .tensor_core import (
     _pow2_exponent,
     _power_sum,
     _read_pair,
-    _read_size,
     frobenius_distance,
     numerical_rank,
 )
@@ -156,15 +155,15 @@ def binary_monomial_tensor(k: int) -> SymmetricTensor:
     return SymmetricTensor(k, 2, {(1, k - 1): 1.0 / k})
 
 
-def _sylvester(A: SymmetricTensor, label: str, p: float, scale: float, unit: np.ndarray, nodes: np.ndarray,
-               field_tag: str, rho: float = 1.0) -> SymmetricDecomposition:
+def _sylvester(A: SymmetricTensor, label: str, p: float, unit: np.ndarray, nodes: np.ndarray, field_tag: str,
+               rho: float = 1.0) -> SymmetricDecomposition:
     """The one exit of the binary route: A's decomposition over field_tag with nodes (alpha_i, rho beta_i), (alpha_i,
     beta_i) the rows of an (r, 2) array of roots of a form apolar to A's moments m_j = a_(k-j, j), given as unit =
-    m_j / (p s rho^j) from _scaled_entries, if verify accepts it; else DecompositionError, naming label.
+    m_j / (p rho^j), p the power of two of _scaled_entries, if verify accepts it; else DecompositionError, naming label.
 
     Each node is divided by its largest modulus, a component below rounding level set to zero, and one least-squares
     solve of the Vandermonde system sum_i w_i alpha_i^(k-j) beta_i^j = unit_j, formed by broadcasting, real over R,
-    gives the weights over p s, so no product overflows.  Each power z^e is z^(e mod 64) (z^64)^(e div 64): numpy's
+    gives the weights over p, so no product overflows.  Each power z^e is z^(e mod 64) (z^64)^(e div 64): numpy's
     ** takes an exponent from 100 up through the complex log and exponential; below 128 these are Python's squarings.
     At order 494 the residual reads 0.98 of the bound.  The stretch multiplies the float view, as _over divides,
     so a -0 part keeps its sign."""
@@ -177,7 +176,7 @@ def _sylvester(A: SymmetricTensor, label: str, p: float, scale: float, unit: np.
     vander = powers[0] * powers[1]
     if field_tag == "R":
         vander = vander.real
-    weights = p * (scale * np.linalg.lstsq(vander, unit, rcond=None)[0])
+    weights = p * np.linalg.lstsq(vander, unit, rcond=None)[0]
     points = (points.astype(np.complex128).view(float) * [1, 1, rho, rho]).view(complex)
     decomposition = _normalized(A.order, weights, points, field_tag)
     if not (report := verify(decomposition, A)).ok:
@@ -201,7 +200,7 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
     if k < 2:
         raise ValidationError("method monomial needs order >= 2")
     _class_sizes(k, 2)  # an order whose class sizes pass the float range, which verify refuses, fails before the solve
-    p, scale, unit = _scaled_entries(A._vector, "C")
+    p, unit = _scaled_entries(A._vector, "C")
     if np.flatnonzero(np.abs(unit) > 1e-12 * abs(unit[k - 1])).tolist() != [k - 1]:
         raise ValidationError(
             "method monomial needs a tensor proportional to z1*z2^(k-1): "
@@ -209,7 +208,7 @@ def _roots_of_unity_decomposition(A: SymmetricTensor) -> SymmetricDecomposition:
         )
     rho = min(math.sqrt(k - 1), 2.0 ** (1000 / k))
     roots = np.array([(1.0, cmath.exp(2j * cmath.pi * i / k)) for i in range(k)])
-    return _sylvester(A, "monomial", p, scale, _over(unit, np.repeat(rho ** np.arange(k + 1), 2)), roots, "C", rho)
+    return _sylvester(A, "monomial", p, _over(unit, np.repeat(rho ** np.arange(k + 1), 2)), roots, "C", rho)
 
 
 @lru_cache(maxsize=_SHAPES_CACHED, typed=True)  # typed: an equal float, bool or numpy key is a call of its own
@@ -269,18 +268,15 @@ def _over(values: np.ndarray, scale) -> np.ndarray:
     return ((values * complex(1.0, -0.0)).view(float) / scale).view(complex)
 
 
-def _scaled_entries(values: np.ndarray, field: str) -> tuple[float, float, np.ndarray]:
-    """(p, s, values / (p s)), p = 2^e for the _pow2_exponent e of values: s, the largest modulus of values / p, is
-    below 2^1.5, and p * s is that of values, found with no modulus that overflows.  Over R those of the real parts,
-    as a real array, once every |im| / p is at most 1e-12 s.  Moduli are hypots, as Python's abs takes them."""
+def _scaled_entries(values: np.ndarray, field: str) -> tuple[float, np.ndarray]:
+    """(p, values / p), p = 2^e for the _pow2_exponent e of values: exact, so every |re| and |im| is below 2 and a rule
+    homogeneous in the entries reads on them as on values.  Over R the real parts, as a real array, once every |im| is
+    at most 1e-12 of the largest modulus, a hypot as Python's abs takes it."""
     p = 2.0 ** _pow2_exponent(values)
-    if field == "R":  # p is then that of the real parts too, since no |im| passes the largest |re|
-        if abs(values.imag).max() / p > REAL_FIELD_TOL * np.hypot(values.real / p, values.imag / p).max():
-            raise ValidationError("field R needs a real tensor")
-        values = values.real
-    scaled = _over(values, p)
-    scale = np.hypot(scaled.real, scaled.imag).max()
-    return p, scale, _over(scaled, scale or 1.0)
+    unit = values / p
+    if field == "R" and abs(unit.imag).max() > REAL_FIELD_TOL * np.abs(unit).max():
+        raise ValidationError("field R needs a real tensor")
+    return p, unit.real if field == "R" else unit
 
 
 def _require_sym222(A: SymmetricTensor) -> None:
@@ -317,7 +313,7 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     _require_sym222(A)
     if field not in ("R", "C"):
         raise ValidationError("field must be 'R' or 'C'")
-    p, scale, unit = _scaled_entries(A._vector, field)
+    p, unit = _scaled_entries(A._vector, field)
     a, b, c = _catalecticant_kernel(*unit)
     masks, disc = _pencil_rule(a, b, c)
     for condition, hit in zip(_PENCIL_CONDITIONS, masks):
@@ -326,10 +322,10 @@ def decompose_sym222_pencil(A: SymmetricTensor, field: str = "C") -> PencilResul
     if field == "R" and disc < 0:
         turn = math.fmod(math.atan2(3 * unit[1] - unit[3], unit[0] - 3 * unit[2]) + math.pi, math.pi)
         nodes = np.array([(math.cos(phi), math.sin(phi)) for phi in ((turn + j * math.pi) / 3 for j in range(3))])
-        return PencilResult("real_rank_3", _sylvester(A, "real_rank_3", p, scale, unit, nodes, "R"))
+        return PencilResult("real_rank_3", _sylvester(A, "real_rank_3", p, unit, nodes, "R"))
     sq = cmath.sqrt(disc)
     q = -(b + sq) / 2 if abs(b + sq) >= abs(b - sq) else -(b - sq) / 2
-    return PencilResult("rank_2", _sylvester(A, "rank_2", p, scale, unit, np.array([(q, a), (c, q)]), field))
+    return PencilResult("rank_2", _sylvester(A, "rank_2", p, unit, np.array([(q, a), (c, q)]), field))
 
 
 def _tangent_vector(u, v, k: int) -> np.ndarray:
@@ -476,7 +472,7 @@ def decomposition_to_json_obj(D: SymmetricDecomposition) -> dict:
 def decomposition_from_json_obj(obj) -> SymmetricDecomposition:
     """Parse the decomposition JSON format; terms are renormalized on input."""
     order, dim, field, terms_json = _fields(obj, ("order", "dim", "field", "terms"))
-    order, dim = _read_size(order, "order"), _read_size(dim, "dim")
+    order, dim = _integer(order, "field 'order'", 1), _integer(dim, "field 'dim'", 1)
     if field not in ("R", "C"):
         raise ValidationError("field 'field': must be 'R' or 'C'")
     if not isinstance(terms_json, list) or not terms_json:

@@ -8,9 +8,10 @@ class; the unstructured case draws eight, one per entry.
 
 The rule is decompose_sym222_pencil's: a pencil quadratic that vanishes, is
 constant in t, or has a double root, relative to its largest coefficient, is
-degenerate.  The classifiers first divide by the largest entry, as the
-decomposer does, so classify_sym222 names the branch it takes over R; near a
-double root that branch can still raise, where verify refuses its terms.
+degenerate.  The classifiers divide the entries exactly, by the power of two at
+their largest |re| or |im|, as the decomposer does: a label is the streamed rule
+on the stored entries, and classify_sym222's is the decomposer's branch over R,
+which near a double root can still raise, where verify refuses its terms.
 
 The random stream is reproducible by construction.  Draws come from a
 counter-based Philox generator, trial t consuming exactly the uniform block
@@ -163,7 +164,7 @@ def _label_masks(case: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _classify(case: str, values: np.ndarray) -> str:
-    masks = _label_masks(case, _scaled_entries(values, "R")[2][None, :])
+    masks = _label_masks(case, _scaled_entries(values, "R")[1][None, :])
     return next(label for label, mask in zip(_LABELS, masks) if mask[0])
 
 
@@ -182,8 +183,8 @@ def classify_asym222(T: DenseTensor) -> str:
     """rank_2, rank_3, or degenerate for a real unstructured 2x2x2 tensor.
 
     Uses det(T0 + t*T1) for the two first-index slices, entries divided by
-    the largest magnitude first; the sign of its discriminant separates the
-    two typical ranks.
+    the power of two at the largest magnitude first; the sign of its
+    discriminant separates the two typical ranks.
     """
     if T.array.shape != (2, 2, 2):
         raise ValidationError(f"expected shape (2, 2, 2), got {T.array.shape}")

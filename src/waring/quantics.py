@@ -267,6 +267,11 @@ def parse_quantic(text: str, nvars: int | None = None) -> Quantic:
     if len(degrees) != 1:
         raise ValidationError(f"terms have mixed degrees {sorted(degrees)}; a quantic is homogeneous")
     k = degrees.pop()
-    terms = ((p, coeff / _class_size(p)) for coeff, exps in parsed  # read after the constructor's class cap check
-             for p in [tuple(exps.get(i, 0) for i in range(1, n + 1))])  # the constructor sums a repeated p
-    return Quantic._of(SymmetricTensor(k, n, terms))
+
+    def terms():  # read after the constructor's class cap check; the constructor sums a repeated key
+        for coeff, exps in parsed:
+            key = [0] * n
+            for var, exp in exps.items():
+                key[var - 1] = exp
+            yield key, coeff / _class_size(key)
+    return Quantic._of(SymmetricTensor(k, n, terms()))

@@ -30,7 +30,10 @@ from .errors import (
 )
 
 DENSE_ENTRY_CAP = 10_000_000
-_DENSE_ORDER_CAP = 64  # numpy's limit on the number of array axes
+try:  # numpy's limit on the number of array axes: 64 from numpy 2, 32 before
+    _DENSE_ORDER_CAP = np.empty((1,) * 64).ndim
+except ValueError:
+    _DENSE_ORDER_CAP = 32
 DEFAULT_SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
@@ -311,13 +314,12 @@ def multilinear_transform(A: DenseTensor, maps) -> DenseTensor:
 def numerical_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Singular values above tol times the largest column norm."""
     _check_tol(tol)
-    m = _frozen_finite(np.atleast_2d(np.array(matrix, dtype=np.complex128)), "matrix entries")
+    m = _frozen_finite(np.atleast_2d(np.array(matrix, dtype=np.complex128, order="C")), "matrix entries")
     if m.ndim > 2:  # svd would take it as a stack of matrices
         raise ValidationError(f"numerical_rank needs a matrix, got {m.ndim} axes")
-    top = float(np.maximum(abs(m.real), abs(m.imag)).max(initial=0.0))
-    if top == 0.0:  # also an empty matrix
+    if not m.any():  # also an empty matrix
         return 0
-    m = m / top  # so no column norm overflows or underflows
+    m = m / 2.0 ** _pow2_exponent(m)  # C order, as _pow2_exponent needs: exact, and no column norm overflows
     col_scale = float(np.linalg.norm(m, axis=0).max())
     return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol * col_scale))
 
@@ -426,19 +428,13 @@ def _read_pair(obj, field: str) -> complex:
     return value
 
 
-def _read_size(value, field: str) -> int:
-    if type(value) is not int or value < 1:  # a JSON true is a bool, not the size 1
-        raise ValidationError(f"field '{field}': expected a positive integer")
-    return value
-
-
 def tensor_from_json_obj(obj):
     """Parse the tensor JSON format back into a DenseTensor or SymmetricTensor."""
     _fields(obj, ())  # a JSON object
     fmt = obj.get("format")
     if fmt == "dense":
         order, dim, entries = _fields(obj, ("order", "dim", "entries"))
-        order, dim = _read_size(order, "order"), _read_size(dim, "dim")
+        order, dim = _integer(order, "field 'order'", 1), _integer(dim, "field 'dim'", 1)
         _check_dense_order(order)
         # dim > len(entries) already mismatches, and otherwise dim**order stays a few hundred digits
         if not isinstance(entries, list) or dim > len(entries) or len(entries) != dim**order:
@@ -464,5 +460,5 @@ def tensor_from_json_obj(obj):
             some = as_exponent(coeffs[0][0])
             order = sum(some) if order is None else order
             dim = len(some) if dim is None else dim
-        return SymmetricTensor(_read_size(order, "order"), _read_size(dim, "dim"), coeffs)
+        return SymmetricTensor(_integer(order, "field 'order'", 1), _integer(dim, "field 'dim'", 1), coeffs)
     raise ValidationError("field 'format': must be 'dense' or 'sym'")

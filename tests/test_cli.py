@@ -409,6 +409,23 @@ def test_flag_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (("dim", "--order", "abc", "--dim", "2"), "--order", "abc"),
+    (("montecarlo", "--case", "sym222", "--samples", "1.5", "--seed", "0"), "--samples", "1.5"),
+    (("montecarlo", "--case", "sym222", "--samples", "10", "--seed", "1e3"), "--seed", "1e3"),
+    (("demo-border", "--kind", "rank2to3", "--steps", ""), "--steps", ""),
+])
+def test_integer_flags_refuse_text_that_is_no_integer(capsys, argv, flag, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and f"argument {flag}: expected an integer, got {text!r}" in err
+
+
+def test_montecarlo_refuses_a_seed_from_2_to_the_128(capsys):
+    argv = ("montecarlo", "--case", "sym222", "--samples", "10", "--seed")
+    assert run(capsys, *argv, str(2**128 - 1))[0] == 0
+    assert run(capsys, *argv, str(2**128)) == (2, "", "error: seed must be an integer in [0, 2**128)\n")
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "decompose", "--help")[0] == 0

@@ -1173,9 +1173,7 @@ def _python_scaled_pencil(A, field):
 
     values = [v.real for v in A._vector.tolist()] if field == "R" else A._vector.tolist()
     p = 2.0 ** max(math.frexp(max(abs(c) for v in values for c in (v.real, v.imag)))[1] - 1, -1022)
-    scaled = [v / p for v in values]
-    scale = max(map(abs, scaled))
-    unit = [v / (scale or 1.0) for v in scaled]
+    unit = [v / p for v in values]
     a, b, c = _catalecticant_kernel(*unit)
     masks, disc = _pencil_rule(a, b, c)
     if any(masks):
@@ -1191,10 +1189,10 @@ def _python_scaled_pencil(A, field):
     points = [tuple(c / s if abs(c) > eps * s else 0.0 for c in node)
               for node in nodes for s in [max(abs(node[0]), abs(node[1]))]]
     vander = np.array([[x ** (3 - j) * y**j for x, y in points] for j in range(4)])
-    rhs = np.array(scaled) / scale
+    rhs = np.array(unit)
     if field == "R":
         vander, rhs = vander.real, rhs.real
-    return p * (scale * np.linalg.lstsq(vander, rhs, rcond=None)[0]), np.array(points, dtype=np.complex128)
+    return p * np.linalg.lstsq(vander, rhs, rcond=None)[0], np.array(points, dtype=np.complex128)
 
 
 def test_the_array_pencil_keeps_the_nodes_of_the_python_scaling():

@@ -150,3 +150,24 @@ def test_a_float_order_is_refused_after_the_same_integer_shape_is_cached():
     with pytest.raises(ValidationError, match="^order must be an integer, got float$"):
         waring.enumerate_exponents(3.0, 2)
     assert type(waring.sym_dimension(np.int64(3), np.int64(2))) is int
+
+
+_JSON_READERS = {
+    "dense": (waring.tensor_from_json_obj, {"format": "dense", "order": 1, "dim": 1, "entries": [[1.0, 0.0]]}),
+    "sym": (waring.tensor_from_json_obj, {"format": "sym", "order": 1, "dim": 1, "coeffs": []}),
+    "decomposition": (waring.decomposition_from_json_obj,
+                      {"order": 1, "dim": 1, "field": "R", "terms": [{"weight": [1, 0], "vector": [[1, 0]]}]}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_JSON_READERS))
+@pytest.mark.parametrize("field", ["order", "dim"])
+@pytest.mark.parametrize("bad, why", [
+    (True, "an integer, got bool"), (1.0, "an integer, got float"), ("1", "an integer, got str"),
+    ([1], "an integer, got list"), (0, r"an integer >= 1"),
+])
+def test_the_json_readers_take_order_and_dim_by_the_integer_rule(reader, field, bad, why):
+    read, obj = _JSON_READERS[reader]
+    assert (read(obj).order, read(obj).dim) == (1, 1)
+    with pytest.raises(ValidationError, match=rf"^field '{field}' must be {why}$"):
+        read({**obj, field: bad})

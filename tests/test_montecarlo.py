@@ -15,7 +15,7 @@ from numpy.random import Generator, Philox
 
 from waring.decompose import decompose_sym222_pencil
 from waring import montecarlo
-from waring.errors import DegeneratePencilError, ValidationError, WorkerError
+from waring.errors import DecompositionError, DegeneratePencilError, ValidationError, WorkerError
 from waring.montecarlo import (
     MIN_WORKER_TRIALS,
     TrialStats,
@@ -27,7 +27,7 @@ from waring.montecarlo import (
     typical_rank_experiment,
 )
 from waring.quantics import parse_quantic, quantic_to_tensor
-from waring.tensor_core import DenseTensor, SymmetricTensor
+from waring.tensor_core import DenseTensor, SymmetricTensor, decompress
 
 
 def test_trial_consumes_its_own_uniform_block():
@@ -74,6 +74,16 @@ def test_sampling_rejects_a_negative_trial_index():
 def test_sampling_rejects_an_index_past_the_counter_or_not_an_int(sample, index):
     with pytest.raises(ValidationError, match="trial index"):
         sample(0, index)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: sample_sym222(seed, 0), lambda seed: sample_asym222(seed, 0),
+    lambda seed: typical_rank_experiment("sym222", 10, seed), lambda seed: typical_rank_experiment("asym222", 10, seed),
+], ids=["sample_sym222", "sample_asym222", "experiment-sym222", "experiment-asym222"])
+def test_a_seed_from_2_to_the_128_is_refused(draw):
+    draw(2**128 - 1)  # Philox's 128-bit key holds the last seed below
+    with pytest.raises(ValidationError, match=r"^seed must be an integer in \[0, 2\*\*128\)$"):
+        draw(2**128)
 
 
 def test_the_last_trials_before_the_counter_wraps_are_drawn():
@@ -415,6 +425,35 @@ def test_classify_sym222_takes_the_decomposer_branch():
 def test_classify_sym222_agrees_with_the_decomposer_on_scaled_and_constant_pencils(text, label):
     a = quantic_to_tensor(parse_quantic(text))
     assert classify_sym222(a) == decomposer_label(a) == label
+
+
+def test_near_double_cubics_get_the_streamed_label_of_their_stored_entries():
+    # c (w1 (x1 + s x2)^3 + w2 (x1 + (s + d) x2)^3) lies near the border, where rounding decides the label; the
+    # classifiers and the decomposer's R branch must still give what the stream's rule gives the stored entries
+    rng = np.random.default_rng(20261022)
+    rows = 2000
+    s, d = rng.standard_normal(rows), 10.0 ** rng.uniform(-9, -3, rows)
+    w, c = rng.uniform(0.5, 2, (2, rows)), rng.uniform(1, 2, rows)
+    j = np.arange(4)
+    moments = c[:, None] * (w[0, :, None] * s[:, None] ** j + w[1, :, None] * (s + d)[:, None] ** j)
+    tensors = [SymmetricTensor(3, 2, dict(zip(((3, 0), (2, 1), (1, 2), (0, 3)), m.tolist()))) for m in moments]
+    dense = [decompress(a) for a in tensors]
+
+    def streamed(case, z):
+        return [montecarlo._LABELS[i] for i in np.argmax(montecarlo._label_masks(case, z), axis=0)]
+
+    sym = streamed("sym222", np.array([a._vector.real for a in tensors]))
+    asym = streamed("asym222", np.array([t.array.reshape(-1).real for t in dense]))
+    decomposed = 0
+    for a, t, want_sym, want_asym in zip(tensors, dense, sym, asym):
+        assert classify_sym222(a) == want_sym and classify_asym222(t) == want_asym
+        try:
+            label = decomposer_label(a)
+        except DecompositionError:  # the branch's terms miss verify's bound: it names no label
+            continue
+        assert label == want_sym
+        decomposed += 1
+    assert min(sym.count(label) for label in montecarlo._LABELS) > 50 and decomposed > 500
 
 
 def test_classify_asym222_on_a_huge_diagonal_tensor():

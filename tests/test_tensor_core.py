@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from waring.combinatorics import enumerate_exponents, multinomial
 from waring.errors import ArithmeticOverflowError, CapacityError, SymmetryError, ValidationError
 from waring.tensor_core import (
+    _DENSE_ORDER_CAP,
     DEFAULT_SYMMETRY_TOL,
     DenseTensor,
     SymmetricTensor,
@@ -219,6 +220,10 @@ def test_numerical_rank():
     assert numerical_rank(m) == 1
     assert numerical_rank(np.eye(3)) == 3
     assert numerical_rank(np.zeros((2, 2))) == 0
+    # a transposed or Fortran-ordered matrix is copied to C order before its exponent is read
+    assert numerical_rank(np.arange(6.0).reshape(2, 3).T) == 2
+    assert numerical_rank(np.ones((2, 3)).T) == 1
+    assert numerical_rank(np.asfortranarray(np.eye(3, dtype=complex))) == 3
 
 
 def test_power_span_rank_counts_independent_powers():
@@ -335,15 +340,21 @@ def test_json_rejects_booleans_as_integers():
 
 
 def test_dense_forms_stop_at_numpy_axes():
-    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+    cap = _DENSE_ORDER_CAP  # read from numpy at import: 64 from numpy 2, 32 before
+    assert cap in (32, 64) and np.empty((1,) * cap).ndim == cap
+    with pytest.raises(CapacityError, match=f"numpy's {cap} axes"):
         tensor_from_json_obj({"format": "dense", "order": 100, "dim": 1, "entries": [[1.0, 0.0]]})
-    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+    with pytest.raises(CapacityError, match=f"numpy's {cap} axes"):
         tensor_from_json_obj({"format": "dense", "order": 5000, "dim": 10, "entries": []})
+    with pytest.raises(CapacityError, match=f"order {cap + 1} needs more than numpy's {cap} axes"):
+        tensor_from_json_obj({"format": "dense", "order": cap + 1, "dim": 1, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValidationError, match=r"expected 10\*\*3 pairs, got 0"):
         tensor_from_json_obj({"format": "dense", "order": 3, "dim": 10, "entries": []})
-    with pytest.raises(CapacityError, match="numpy's 64 axes"):
+    with pytest.raises(CapacityError, match=f"numpy's {cap} axes"):
         decompress(SymmetricTensor(100, 1, {(100,): 1.0}))
-    assert decompress(SymmetricTensor(64, 1, {(64,): 2.0})).array.shape == (1,) * 64
+    with pytest.raises(CapacityError, match=f"order {cap + 1} needs more than numpy's {cap} axes"):
+        decompress(SymmetricTensor(cap + 1, 1, {(cap + 1,): 2.0}))
+    assert decompress(SymmetricTensor(cap, 1, {(cap,): 2.0})).array.shape == (1,) * cap
 
 
 def test_json_rejects_non_finite_pairs():
